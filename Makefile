@@ -5,7 +5,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS = -X repro/internal/obs.Version=$(VERSION)
 
-.PHONY: all build test race vet fmt-check bench bench-smoke bench-json chaos crash-smoke obs trace-smoke fuzz-smoke pipeline-smoke refit-smoke cluster-smoke loadbench ci
+.PHONY: all build test race vet fmt-check bench bench-smoke bench-check bench-json chaos crash-smoke obs trace-smoke fuzz-smoke pipeline-smoke refit-smoke cluster-smoke loadbench ci
 
 all: build
 
@@ -39,6 +39,17 @@ bench:
 # or crash without paying full measurement time. Part of make ci.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/core/ ./internal/server/
+
+# Pre-flight for the repository benchmark (bench/, BENCHMARK.json): one
+# 3-second pass of every workload at seed 1 against a freshly built rsmd.
+# The harness exits non-zero on any failed request or wrong answer, and so
+# does this target. About a minute, so it is not part of ci.
+BENCH_WORKLOADS = predict-serve yield-mc fit-cv mixed-ops
+bench-check:
+	@for w in $(BENCH_WORKLOADS); do \
+		echo "bench-check: $$w"; \
+		sh bench/run.sh --workload $$w --seed 1 --seconds 3 --trace 0 || exit 1; \
+	done
 
 # Short fuzz passes over the daemon's untrusted parse surfaces: the
 # envelope parser (upload endpoint) and the SPICE netlist parser (pipeline

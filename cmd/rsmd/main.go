@@ -76,7 +76,7 @@ func run(ctx context.Context, args []string, logw io.Writer, ready func(addr str
 		addr         = fs.String("addr", ":8080", "listen address")
 		store        = fs.String("store", "", "model persistence directory (empty = in-memory only)")
 		fitJobs      = fs.Int("fit-jobs", 2, "async fit worker pool size (concurrent fit jobs)")
-		fitWorkers   = fs.Int("fit-workers", 0, "solver engine correlation-sweep goroutines per fit (0 = GOMAXPROCS)")
+		fitWorkers   = fs.Int("fit-workers", 0, "solver engine correlation-sweep goroutines per fit (0 = max(1, GOMAXPROCS-1), leaving predicts a core)")
 		queueDepth   = fs.Int("queue", 16, "max pending fit jobs")
 		predWorkers  = fs.Int("predict-workers", 0, "prediction fan-out per request (0 = GOMAXPROCS)")
 		maxBatch     = fs.Int("max-batch", 100000, "max points per predict request")
@@ -86,7 +86,7 @@ func run(ctx context.Context, args []string, logw io.Writer, ready func(addr str
 		reqTimeout   = fs.Duration("request-timeout", 30*time.Second, "per-request handler deadline")
 		fitTimeout   = fs.Duration("fit-timeout", 5*time.Minute, "per-job fit deadline")
 		pipeTimeout  = fs.Duration("pipeline-timeout", 10*time.Minute, "end-to-end deadline per netlist-in, model-out pipeline job")
-		simWorkers   = fs.Int("sim-workers", 0, "simulator goroutines per pipeline sampling stage (0 = GOMAXPROCS)")
+		simWorkers   = fs.Int("sim-workers", 0, "simulator goroutines per pipeline sampling stage (0 = max(1, GOMAXPROCS-1), leaving predicts a core)")
 		journalDir   = fs.String("journal-dir", "", "durable job-journal directory: fit/pipeline jobs survive crashes and are re-run on boot (empty = no journal)")
 		recoveryMax  = fs.Int("recovery-max-attempts", 3, "quarantine a journaled job as failed after it crashed the daemon this many times")
 		traceStore   = fs.Int("trace-store", 256, "completed traces kept in memory for /v1/traces (0 disables tracing)")

@@ -76,12 +76,26 @@ func TotalDegree(n, deg int) *Basis {
 // dense storage for moderate sizes and lazy re-evaluation beyond it (the
 // paper-scale regime where G must never be materialized).
 func AutoDesign(b *Basis, points [][]float64) Design {
-	const denseLimit = 48 << 20
 	if len(points)*b.Size() <= denseLimit {
 		return NewDenseDesign(b, points)
 	}
 	return NewLazyDesign(b, points)
 }
+
+// AutoColMajor is AutoDesign with the materialized regime stored
+// column-major (NewColMajorDesign): the layout the solver engine's
+// correlation sweep reads, built without a row-major intermediate. Values
+// are bit-identical to AutoDesign's.
+func AutoColMajor(b *Basis, points [][]float64) Design {
+	if len(points)*b.Size() <= denseLimit {
+		return NewColMajorDesign(b, points)
+	}
+	return NewLazyDesign(b, points)
+}
+
+// denseLimit is the K·M product up to which AutoDesign and AutoColMajor
+// materialize G (8·denseLimit bytes).
+const denseLimit = 48 << 20
 
 // Size returns the number of basis functions M.
 func (b *Basis) Size() int { return len(b.Terms) }
@@ -159,10 +173,23 @@ type Design interface {
 }
 
 // SquaredColumnNorms accumulates Σ_k G[k][j]² into dst (allocated when nil)
-// with a single row-streaming pass over the design.
+// in ascending row order: one contiguous pass per column on a ColMajor
+// design, a single row-streaming pass over any other. Both orders add the
+// same terms in the same sequence, so the result does not depend on the
+// storage.
 func SquaredColumnNorms(d Design, dst []float64) []float64 {
 	if dst == nil {
 		dst = make([]float64, d.Cols())
+	}
+	if c, ok := d.(*ColMajor); ok {
+		for j := range dst {
+			s := 0.0
+			for _, v := range c.ColSlice(j) {
+				s += v * v
+			}
+			dst[j] = s
+		}
+		return dst
 	}
 	for j := range dst {
 		dst[j] = 0

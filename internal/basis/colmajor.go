@@ -3,6 +3,7 @@ package basis
 import (
 	"fmt"
 
+	"repro/internal/hermite"
 	"repro/internal/linalg"
 )
 
@@ -35,19 +36,104 @@ type ColMajor struct {
 // policy) since a path fit amortizes the pass over its many correlation
 // sweeps but a lazy paper-scale design must never be materialized.
 func NewColMajor(d Design) *ColMajor {
-	k, m := d.Rows(), d.Cols()
-	c := &ColMajor{rows: k, cols: m}
-	nblocks := (m + colMajorBlock - 1) / colMajorBlock
-	c.blocks = make([][]float64, nblocks)
-	for b := range c.blocks {
-		c.blocks[b] = make([]float64, c.blockWidth(b)*k)
-	}
+	k := d.Rows()
+	c := newColMajor(k, d.Cols())
 	d.VisitRows(func(row int, vals []float64) {
 		for j, v := range vals {
 			c.blocks[j/colMajorBlock][(j%colMajorBlock)*k+row] = v
 		}
 	})
 	return c
+}
+
+// newColMajor allocates zeroed k×m blocked storage.
+func newColMajor(k, m int) *ColMajor {
+	c := &ColMajor{rows: k, cols: m}
+	c.blocks = make([][]float64, (m+colMajorBlock-1)/colMajorBlock)
+	for b := range c.blocks {
+		c.blocks[b] = make([]float64, c.blockWidth(b)*k)
+	}
+	return c
+}
+
+// evalTileRows is the row-tile height of NewColMajorDesign: a tile's
+// Hermite tables take Dim·(maxOrder+1)·evalTileRows floats, and each column
+// receives evalTileRows contiguous values per tile.
+const evalTileRows = 64
+
+// NewColMajorDesign evaluates the basis at all points straight into
+// column-major storage, with no row-major intermediate. Each entry is the
+// product Evaluator.EvalRow computes — 1.0 times the term's Hermite factors
+// in term order — so the result is bit-identical to
+// NewColMajor(NewDenseDesign(b, points)).
+//
+// Rows are processed in tiles: the tile's per-variable Hermite values are
+// laid out factor-major, so every column of the tile is an elementwise
+// product of contiguous factor vectors.
+func NewColMajorDesign(b *Basis, points [][]float64) *ColMajor {
+	k := len(points)
+	c := newColMajor(k, b.Size())
+	stride := b.maxOrder + 1
+	herm := make([]float64, b.Dim*stride*evalTileRows)
+	tab := make([]float64, stride)
+	for lo := 0; lo < k; lo += evalTileRows {
+		n := min(evalTileRows, k-lo)
+		// herm[(v·stride+p)·n + i] = H̃ₚ(points[lo+i][v]).
+		for i, y := range points[lo : lo+n] {
+			if len(y) != b.Dim {
+				panic(fmt.Sprintf("basis: point %d has dimension %d, want %d", lo+i, len(y), b.Dim))
+			}
+			for v, x := range y {
+				hermite.Eval1DUpTo(tab, b.maxOrder, x)
+				for p, h := range tab {
+					herm[(v*stride+p)*n+i] = h
+				}
+			}
+		}
+		for j, t := range b.Terms {
+			col := c.ColSlice(j)[lo : lo+n]
+			for i := range col {
+				col[i] = 1
+			}
+			for _, vp := range t {
+				f := herm[(vp.Var*stride+vp.Pow)*n:][:n]
+				for i := range col {
+					col[i] *= f[i]
+				}
+			}
+		}
+	}
+	return c
+}
+
+// GatherRows copies the given rows of c, in order, into a len(rows)×M
+// column-major design and returns it. dst's storage is reused when it is
+// large enough (pass nil to allocate), so a sequence of gathers — one per
+// cross-validation fold — shares one buffer; each gather invalidates the
+// previous result held in dst.
+func (c *ColMajor) GatherRows(dst *ColMajor, rows []int) *ColMajor {
+	n := len(rows)
+	if dst == nil {
+		dst = &ColMajor{}
+	}
+	dst.rows, dst.cols = n, c.cols
+	if len(dst.blocks) != len(c.blocks) {
+		dst.blocks = make([][]float64, len(c.blocks))
+	}
+	for b := range dst.blocks {
+		w := c.blockWidth(b) * n
+		if cap(dst.blocks[b]) < w {
+			dst.blocks[b] = make([]float64, w)
+		}
+		dst.blocks[b] = dst.blocks[b][:w]
+	}
+	for j := 0; j < c.cols; j++ {
+		src, out := c.ColSlice(j), dst.ColSlice(j)
+		for i, r := range rows {
+			out[i] = src[r]
+		}
+	}
+	return dst
 }
 
 // blockWidth returns the number of columns stored in block b.
@@ -110,8 +196,7 @@ func (c *ColMajor) MulTransVecRange(dst, x []float64, lo, hi int) {
 
 // VisitRows streams the rows in order, assembling each from the column
 // blocks. Row access is the slow direction of this layout; it exists to
-// satisfy the Design contract (column-norm passes, subset views), not for
-// hot loops.
+// satisfy the Design contract (subset views), not for hot loops.
 func (c *ColMajor) VisitRows(fn func(k int, row []float64)) {
 	row := make([]float64, c.cols)
 	for k := 0; k < c.rows; k++ {

@@ -36,15 +36,14 @@ func (s *subsetDesign) Column(dst []float64, m int) []float64 {
 
 // VisitRows streams the inner design's rows, renumbering to subset indices
 // and skipping rows outside the subset. One inner pass regardless of the
-// subset size.
+// subset size; the rows are ascending (see Subset), so one cursor matches
+// them.
 func (s *subsetDesign) VisitRows(fn func(k int, row []float64)) {
-	pos := make(map[int]int, len(s.rows))
-	for i, r := range s.rows {
-		pos[r] = i
-	}
+	i := 0
 	s.d.VisitRows(func(k int, row []float64) {
-		if i, ok := pos[k]; ok {
+		if i < len(s.rows) && s.rows[i] == k {
 			fn(i, row)
+			i++
 		}
 	})
 }
@@ -61,8 +60,14 @@ func (s *subsetDesign) MulTransVec(dst, x []float64) []float64 {
 	return s.d.MulTransVec(dst, full)
 }
 
-// Subset returns a view of d restricted to the given rows.
+// Subset returns a view of d restricted to the given rows, which must be
+// strictly ascending indices of d.
 func Subset(d basis.Design, rows []int) basis.Design {
+	for i, r := range rows {
+		if r < 0 || r >= d.Rows() || (i > 0 && r <= rows[i-1]) {
+			panic(fmt.Sprintf("core: Subset rows must be strictly ascending in [0,%d), got %d at position %d", d.Rows(), r, i))
+		}
+	}
 	return &subsetDesign{d: d, rows: rows}
 }
 
@@ -120,6 +125,19 @@ func CrossValidateCtx(ctx context.Context, fitter PathFitter, d basis.Design, f 
 	// refit run sequentially, so they share a single set of correlation and
 	// residual buffers instead of allocating Q+1 of them.
 	eng := NewEngine(FitWorkersFromContext(ctx))
+	// At most one column-major copy per cross-validation: d itself when it is
+	// already column-major, else one copy when the engine would make one.
+	// Each fold's training rows are gathered from it into one reused buffer,
+	// so the fold correlators find column-major storage and copy nothing;
+	// past colMajorizeMax the folds stay views rather than add a fold-sized
+	// copy. The copy does not depend on the worker count, so neither do the
+	// results: every sweep sums each column in ascending row order.
+	cm, _ := d.(*basis.ColMajor)
+	if cm == nil && worthColMajor(d) {
+		cm = basis.NewColMajor(d)
+	}
+	gatherFolds := cm != nil && k*d.Cols() <= colMajorizeMax
+	var foldBuf *basis.ColMajor
 	for q := 0; q < folds; q++ {
 		var trainRows, testRows []int
 		for i := 0; i < k; i++ {
@@ -129,8 +147,13 @@ func CrossValidateCtx(ctx context.Context, fitter PathFitter, d basis.Design, f 
 				trainRows = append(trainRows, i)
 			}
 		}
-		trainD := Subset(d, trainRows)
-		testD := Subset(d, testRows)
+		var trainD basis.Design
+		if gatherFolds {
+			foldBuf = cm.GatherRows(foldBuf, trainRows)
+			trainD = foldBuf
+		} else {
+			trainD = Subset(d, trainRows)
+		}
 		trainF := gather(f, trainRows)
 		testF := gather(f, testRows)
 
@@ -143,24 +166,7 @@ func CrossValidateCtx(ctx context.Context, fitter PathFitter, d basis.Design, f 
 		if err != nil {
 			return nil, fmt.Errorf("core: cross-validation fold %d: %w", q, err)
 		}
-		// Score every path model in ONE streaming pass over the held-out
-		// rows: each row is evaluated once and dotted with every model's
-		// sparse coefficients. Per-model Predict calls would materialize
-		// each support column separately — O(λ²) column evaluations per
-		// fold, which is prohibitive on regenerating designs.
-		preds := make([][]float64, path.Len())
-		for i := range preds {
-			preds[i] = make([]float64, len(testRows))
-		}
-		testD.VisitRows(func(k int, row []float64) {
-			for mi, model := range path.Models {
-				s := 0.0
-				for i, idx := range model.Support {
-					s += model.Coef[i] * row[idx]
-				}
-				preds[mi][k] = s
-			}
-		})
+		preds := scoreHeldOut(path, d, cm, testRows)
 		foldErr := make([]float64, maxLambda)
 		for lam := 1; lam <= maxLambda; lam++ {
 			// Paths may terminate early; reuse the last available model.
@@ -189,7 +195,11 @@ func CrossValidateCtx(ctx context.Context, fitter PathFitter, d basis.Design, f 
 	// BestLambda because batch solvers (StOMP, CD) admit several bases per
 	// step: capping admission at BestLambda could truncate a batch, whereas
 	// indexing the full path returns the same model the folds scored.
-	path, err := fitPathWithEngine(WithFitStage(ctx, "final"), eng, fitter, d, f, maxLambda)
+	finalD := d
+	if cm != nil {
+		finalD = cm
+	}
+	path, err := fitPathWithEngine(WithFitStage(ctx, "final"), eng, fitter, finalD, f, maxLambda)
 	if err != nil {
 		return nil, fmt.Errorf("core: final refit: %w", err)
 	}
@@ -199,4 +209,41 @@ func CrossValidateCtx(ctx context.Context, fitter PathFitter, d basis.Design, f 
 	}
 	result.Model = path.Models[idx]
 	return result, nil
+}
+
+// scoreHeldOut predicts the held-out rows with every model of a fold's path:
+// preds[mi][t] = Σᵢ Coefᵢ·G[testRows[t]][Supportᵢ], summed in support order.
+// With a column-major copy the support columns are read directly; otherwise
+// ONE streaming pass over the held-out rows evaluates each row once and
+// dots it with every model — per-model Predict calls would materialize each
+// support column separately, O(λ²) column evaluations per fold, which is
+// prohibitive on regenerating designs. Both forms add the same products in
+// the same order per row.
+func scoreHeldOut(path *Path, d basis.Design, cm *basis.ColMajor, testRows []int) [][]float64 {
+	preds := make([][]float64, path.Len())
+	for i := range preds {
+		preds[i] = make([]float64, len(testRows))
+	}
+	if cm != nil {
+		for mi, model := range path.Models {
+			p := preds[mi]
+			for i, idx := range model.Support {
+				c, col := model.Coef[i], cm.ColSlice(idx)
+				for t, r := range testRows {
+					p[t] += c * col[r]
+				}
+			}
+		}
+		return preds
+	}
+	Subset(d, testRows).VisitRows(func(k int, row []float64) {
+		for mi, model := range path.Models {
+			s := 0.0
+			for i, idx := range model.Support {
+				s += model.Coef[i] * row[idx]
+			}
+			preds[mi][k] = s
+		}
+	})
+	return preds
 }

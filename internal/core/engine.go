@@ -137,8 +137,7 @@ func newCorrelator(d basis.Design, workers int) *Correlator {
 		c.cm = cm
 		return c
 	}
-	size := d.Rows() * d.Cols()
-	if workers > 1 && size >= correlateParallelMin && size <= colMajorizeMax {
+	if workers > 1 && worthColMajor(d) {
 		// One row-streaming materialization pass, amortized over the λ (or
 		// λ·folds) sweeps of the path fit it serves.
 		c.cm = basis.NewColMajor(d)
@@ -199,6 +198,14 @@ func (c *Correlator) applyParallel(dst, x []float64) {
 		}(lo, hi)
 	}
 	wg.Wait()
+}
+
+// worthColMajor reports whether d's K·M lies in the window where a
+// column-major copy pays for itself: large enough that sweeps outweigh the
+// one copy pass, small enough (colMajorizeMax) to hold a second K×M array.
+func worthColMajor(d basis.Design) bool {
+	size := d.Rows() * d.Cols()
+	return size >= correlateParallelMin && size <= colMajorizeMax
 }
 
 // activeSetConfig selects the engine features a solver strategy needs.

@@ -869,7 +869,7 @@ func (s *Server) runFit(j *job) {
 	// persisted beside the published version so POST /v1/models/{name}/refine
 	// can later continue this fit instead of restarting cold.
 	plan := &core.CheckpointPlan{}
-	cv, err := core.CrossValidateCtx(core.WithCheckpointPlan(ctx, plan), fitter, basis.AutoDesign(b, points), f, req.Folds, req.MaxLambda)
+	cv, err := core.CrossValidateCtx(core.WithCheckpointPlan(ctx, plan), fitter, basis.AutoColMajor(b, points), f, req.Folds, req.MaxLambda)
 	if err != nil {
 		fail(fmt.Errorf("fit: %w", err))
 		return

@@ -67,8 +67,8 @@ type routeStats struct {
 type metrics struct {
 	start time.Time
 	// fitParallel is the effective engine sweep worker count per fit job
-	// (core.ResolveFitWorkers of Config.FitParallel). Set once at server
-	// construction, read-only afterwards.
+	// (Config.FitParallel after defaults). Set once at server construction,
+	// read-only afterwards.
 	fitParallel int
 
 	mu          sync.Mutex

@@ -294,7 +294,7 @@ func (s *Server) runRefine(j *job) {
 		trace.Bool("warm", warm), trace.Int("parent_version", entry.Version),
 		trace.String("solver", parentCK.Solver)))
 	start := time.Now()
-	cv, err := core.CrossValidateCtx(rctx, fitter, basis.AutoDesign(b, points), values, folds, maxLambda)
+	cv, err := core.CrossValidateCtx(rctx, fitter, basis.AutoColMajor(b, points), values, folds, maxLambda)
 	fitDur := time.Since(start)
 	resumeSpan.EndErr(err)
 	if err != nil {
