@@ -5,7 +5,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS = -X repro/internal/obs.Version=$(VERSION)
 
-.PHONY: all build test race vet fmt-check bench bench-smoke bench-check bench-json chaos crash-smoke obs trace-smoke fuzz-smoke pipeline-smoke refit-smoke cluster-smoke loadbench ci
+.PHONY: all build test race vet fmt-check bench bench-smoke bench-check chaos crash-smoke obs trace-smoke fuzz-smoke pipeline-smoke refit-smoke cluster-smoke ci
 
 all: build
 
@@ -61,21 +61,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseNetlist$$' -fuzztime=5s ./internal/spice/
 	$(GO) test -run='^$$' -fuzz='^FuzzReplayJournal$$' -fuzztime=5s ./internal/journal/
 	$(GO) test -run='^$$' -fuzz='^FuzzBuildTree$$' -fuzztime=5s ./internal/obs/trace/
-
-# Machine-readable perf baseline, committed as $(BENCH_JSON): the solver
-# engine benches (fit path + correlation sweep), the serving engine's
-# cold/cached/coalesced predict regimes, and the netlist-in model-out
-# pipeline loop, so regressions diff in review.
-BENCH_JSON ?= BENCH_9.json
-bench-json:
-	@{ $(GO) test -run=NONE -bench='BenchmarkFitPath|BenchmarkCorrelateSweep|BenchmarkRefineWarmVsCold' -benchmem ./internal/core/; \
-	   $(GO) test -run=NONE -bench='BenchmarkPredictServed' -benchmem ./internal/server/; \
-	   $(GO) test -run=NONE -bench='BenchmarkPipelineEndToEnd' -benchmem ./internal/pipeline/; } \
-	| awk 'BEGIN{print "["; n=0} \
-		/^Benchmark/{if(n++)printf ",\n"; name=$$1; sub(/-[0-9]+$$/,"",name); \
-		printf "  {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", name, $$2, $$3, $$5, $$7} \
-		END{print "\n]"}' > $(BENCH_JSON)
-	@cat $(BENCH_JSON)
 
 # Fault-injection suite: drives the daemon through injected solver panics,
 # mid-write registry crashes, stalled jobs and saturation (internal/server
@@ -136,13 +121,5 @@ cluster-smoke:
 	$(GO) test -race -run 'TestRing|TestPeer|TestCluster|TestChaosCluster|TestDaemonCluster' ./internal/cluster/ ./internal/server/ ./cmd/rsmd/
 	$(GO) test -race -run 'TestClientFollowsClusterRedirects|TestClientClusterPredictAtLeastAndDelete' ./rsm/
 	$(GO) run ./cmd/rsmload -spawn 3 -duration 2s -conc 4 -rate 20 -models 9 -chaos -baseline=false -out /dev/null
-
-# Full load benchmark, committed as BENCH_10.json: single-node baseline,
-# 3-shard closed- and open-loop phases, and the one-shard-kill chaos
-# window with goodput and lost-job accounting. The cpus field records the
-# host's core count — the cluster-vs-single ratio only shows horizontal
-# capacity on multi-core hosts.
-loadbench:
-	$(GO) run ./cmd/rsmload -spawn 3 -duration 5s -conc 8 -rate 40 -models 12 -chaos -out BENCH_10.json
 
 ci: vet fmt-check build test race chaos crash-smoke obs trace-smoke bench-smoke fuzz-smoke pipeline-smoke refit-smoke cluster-smoke

@@ -1,7 +1,8 @@
 // Command rsmload is the cluster load generator: it drives a mixed
 // predict/fit/yield/refine workload against an rsmd shard ring and reports
-// throughput, latency percentiles and failure accounting as JSON
-// (BENCH_10.json in CI).
+// throughput, latency percentiles and failure accounting as JSON. It is
+// the cluster chaos check behind `make cluster-smoke`; the repository's
+// performance numbers come from bench/ instead.
 //
 // With -spawn N it builds the cluster itself: N separate rsmd shard
 // processes (re-execs of this binary in a hidden node mode) on local
@@ -22,7 +23,7 @@
 // live shards, or accepted jobs that never reach a terminal state, exit
 // non-zero — `make cluster-smoke` runs exactly that.
 //
-//	rsmload -spawn 3 -duration 5s -conc 8 -chaos -out BENCH_10.json
+//	rsmload -spawn 3 -duration 5s -conc 8 -chaos -out report.json
 package main
 
 import (

@@ -1,8 +1,8 @@
 // Package journal is rsmd's durable job journal: an append-only,
 // fsync-on-record JSONL write-ahead log of job lifecycle events. Every
 // submitted / started / stage-completed / terminal transition of an async
-// fit or pipeline job is one JSON line in the current segment file, synced
-// to disk before the caller proceeds, so a crash never loses an
+// fit, pipeline or refine job is one JSON line in the current segment file,
+// synced to disk before the caller proceeds, so a crash never loses an
 // acknowledged job.
 //
 // On open the journal replays every segment in order and hands the caller
@@ -64,7 +64,7 @@ type Record struct {
 	Type      string          `json:"type"`
 	Time      time.Time       `json:"time,omitempty"`
 	JobID     string          `json:"job"`
-	Kind      string          `json:"kind,omitempty"`       // submitted: fit | pipeline
+	Kind      string          `json:"kind,omitempty"`       // submitted: fit | pipeline | refine
 	RequestID string          `json:"request_id,omitempty"` // submitted: trace ID
 	IdemKey   string          `json:"idem_key,omitempty"`   // submitted: Idempotency-Key
 	Payload   json.RawMessage `json:"payload,omitempty"`    // submitted: the request body

@@ -78,11 +78,14 @@ type FitRequest struct {
 	TimeoutSeconds float64 `json:"timeout_seconds,omitempty"`
 }
 
-// FitResponse acknowledges an accepted fit job (202).
-type FitResponse struct {
+// JobResponse acknowledges an accepted job of any kind (202).
+type JobResponse struct {
 	JobID string `json:"job_id"`
 	State string `json:"state"`
 }
+
+// FitResponse acknowledges an accepted fit job (202).
+type FitResponse = JobResponse
 
 // FitResult is the outcome of a completed fit job.
 type FitResult struct {
@@ -162,10 +165,7 @@ type RefineRequest struct {
 }
 
 // RefineResponse acknowledges an accepted refine job (202).
-type RefineResponse struct {
-	JobID string `json:"job_id"`
-	State string `json:"state"`
-}
+type RefineResponse = JobResponse
 
 // RefineResult is the outcome of a completed refine job. Outcome "improved"
 // means a new version was published (Model describes it); "rejected" means
@@ -210,10 +210,7 @@ type PipelineRequest struct {
 }
 
 // PipelineResponse acknowledges an accepted pipeline job (202).
-type PipelineResponse struct {
-	JobID string `json:"job_id"`
-	State string `json:"state"`
-}
+type PipelineResponse = JobResponse
 
 // PipelineStageInfo is one completed (or failed) stage in a pipeline job's
 // timeline, with the stage's cost split: wall-clock seconds, and within

@@ -8,14 +8,18 @@ package server
 // robustness contract and run under -race in CI.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -23,9 +27,11 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/registry"
+	"repro/internal/rng"
 )
 
 // armFaults resets the harness, arms spec, and schedules cleanup so no
@@ -168,30 +174,94 @@ func cancelJob(t *testing.T, baseURL, id string) *http.Response {
 	return resp
 }
 
-// TestChaosFitPanicIsolated injects a panic into the fit worker: the job
-// must fail with the incident recorded while the daemon keeps serving, and
-// the next fit (fault exhausted) must succeed.
+// chaosKind is one job kind as the worker chaos tests drive it. Every kind
+// runs on the same worker scaffolding, so an injected panic, stall or
+// cancel must land the same way for each.
+type chaosKind struct {
+	kind    string // job kind; also the subtest name
+	point   string // the worker's fault point, fired before the job body
+	counter string // the kind's terminal-state group in /metrics
+	// cap points at the kind's server-wide deadline in cfg.
+	cap func(cfg *Config) *time.Duration
+	// prepare readies the server for a job against name (refine needs a
+	// fitted parent with a checkpoint); nil when there is nothing to do.
+	prepare func(t *testing.T, baseURL, name string)
+	// submit enqueues one job against name and returns its id.
+	submit func(t *testing.T, baseURL, name string) string
+}
+
+var chaosKinds = []chaosKind{
+	{
+		kind: JobKindFit, point: "server.fit", counter: "jobs",
+		cap:    func(cfg *Config) *time.Duration { return &cfg.FitTimeout },
+		submit: submitChaosFit,
+	},
+	{
+		kind: JobKindPipeline, point: "server.pipeline", counter: "pipelines",
+		cap: func(cfg *Config) *time.Duration { return &cfg.PipelineTimeout },
+		submit: func(t *testing.T, baseURL, name string) string {
+			return submitPipeline(t, baseURL, pipelineBody(t, name, "rc_lowpass.cir", "rc_lowpass_pipeline.json"))
+		},
+	},
+	{
+		kind: JobKindRefine, point: "server.refine", counter: "refines",
+		cap: func(cfg *Config) *time.Duration { return &cfg.FitTimeout },
+		prepare: func(t *testing.T, baseURL, name string) {
+			pts, vals := refineDataset(rng.New(5), 24, 0.1)
+			submitFitWait(t, baseURL, name, pts, vals)
+		},
+		submit: func(t *testing.T, baseURL, name string) string {
+			pts, vals := refineDataset(rng.New(6), 12, 0.1)
+			return submitRefineReq(t, baseURL, name, pts, vals)
+		},
+	},
+}
+
+// setup runs the kind's prepare step with the fault harness disarmed, so a
+// fault armed afterwards can never fire on the setup fit.
+func (k chaosKind) setup(t *testing.T, baseURL, name string) {
+	t.Helper()
+	faultinject.Reset()
+	if k.prepare != nil {
+		k.prepare(t, baseURL, name)
+	}
+}
+
+// TestChaosFitPanicIsolated injects a panic into the worker of each job
+// kind: the job must fail with the incident recorded while the daemon keeps
+// serving, and the next job of that kind (fault exhausted) must succeed.
 func TestChaosFitPanicIsolated(t *testing.T) {
-	armFaults(t, "server.fit=panic#1")
-	_, hs := newTestServer(t, Config{FitWorkers: 1})
-	uploadModel(t, hs.URL, "lin", 3)
+	for _, k := range chaosKinds {
+		t.Run(k.kind, func(t *testing.T) {
+			_, hs := newTestServer(t, Config{FitWorkers: 1})
+			k.setup(t, hs.URL, "chaosfit")
+			armFaults(t, k.point+"=panic#1")
+			uploadModel(t, hs.URL, "lin", 3)
 
-	id := submitChaosFit(t, hs.URL, "chaosfit")
-	st := waitTerminal(t, hs.URL, id, 10*time.Second)
-	if st.State != JobFailed || !strings.Contains(st.Error, "panicked") {
-		t.Fatalf("state %s error %q, want failed with panic message", st.State, st.Error)
-	}
+			id := k.submit(t, hs.URL, "chaosfit")
+			st := waitTerminal(t, hs.URL, id, 10*time.Second)
+			if st.State != JobFailed || !strings.Contains(st.Error, "panicked") {
+				t.Fatalf("state %s error %q, want failed with panic message", st.State, st.Error)
+			}
+			if want := "internal: " + k.kind + " panicked: "; !strings.HasPrefix(st.Error, want) {
+				t.Fatalf("error %q, want prefix %q", st.Error, want)
+			}
 
-	assertHealthy(t, hs.URL)
-	assertPredicts(t, hs.URL, "lin")
-	if n := metricInt(t, hs.URL, "incidents", "panics_recovered"); n < 1 {
-		t.Fatalf("panics_recovered = %d, want ≥ 1", n)
-	}
+			assertHealthy(t, hs.URL)
+			assertPredicts(t, hs.URL, "lin")
+			if n := metricInt(t, hs.URL, "incidents", "panics_recovered"); n < 1 {
+				t.Fatalf("panics_recovered = %d, want ≥ 1", n)
+			}
+			if n := metricInt(t, hs.URL, k.counter, "failed"); n != 1 {
+				t.Fatalf("%s.failed = %d, want 1", k.counter, n)
+			}
 
-	// The worker survived the panic: it must pick up and complete this one.
-	id2 := submitChaosFit(t, hs.URL, "chaosfit")
-	if st2 := waitTerminal(t, hs.URL, id2, 30*time.Second); st2.State != JobDone {
-		t.Fatalf("post-panic fit state %s (%s), want done", st2.State, st2.Error)
+			// The worker survived the panic: it must pick up and complete this one.
+			id2 := k.submit(t, hs.URL, "chaosfit")
+			if st2 := waitTerminal(t, hs.URL, id2, 30*time.Second); st2.State != JobDone {
+				t.Fatalf("post-panic %s state %s (%s), want done", k.kind, st2.State, st2.Error)
+			}
+		})
 	}
 }
 
@@ -268,61 +338,86 @@ func TestChaosRegistryWriteFailure(t *testing.T) {
 	}
 }
 
-// TestChaosStalledJobTimesOut stalls the fit worker far past the per-job
-// deadline: the job must land in timed_out, not wedge the worker.
+// TestChaosStalledJobTimesOut stalls the worker of each job kind far past
+// the kind's own deadline cap (FitTimeout for fit and refine,
+// PipelineTimeout for pipeline, the other cap left at its multi-minute
+// default): the job must land in timed_out, not wedge the worker.
 func TestChaosStalledJobTimesOut(t *testing.T) {
-	armFaults(t, "server.fit=delay:60s")
-	_, hs := newTestServer(t, Config{FitWorkers: 1, FitTimeout: 300 * time.Millisecond})
+	for _, k := range chaosKinds {
+		t.Run(k.kind, func(t *testing.T) {
+			const deadline = time.Second
+			cfg := Config{FitWorkers: 1}
+			*k.cap(&cfg) = deadline
+			_, hs := newTestServer(t, cfg)
+			k.setup(t, hs.URL, "chaosstall")
+			armFaults(t, k.point+"=delay:60s")
 
-	id := submitChaosFit(t, hs.URL, "chaosstall")
-	st := waitTerminal(t, hs.URL, id, 10*time.Second)
-	if st.State != JobTimedOut {
-		t.Fatalf("state %s (%s), want timed_out", st.State, st.Error)
-	}
-	assertHealthy(t, hs.URL)
-	if n := metricInt(t, hs.URL, "jobs", "timed_out"); n != 1 {
-		t.Fatalf("jobs.timed_out = %d, want 1", n)
-	}
-	// Worker survived the timeout: with the stall disarmed it must pick up
-	// and complete the next job.
-	faultinject.Reset()
-	id2 := submitChaosFit(t, hs.URL, "chaosstall")
-	if st2 := waitTerminal(t, hs.URL, id2, 30*time.Second); st2.State != JobDone {
-		t.Fatalf("post-stall fit state %s (%s), want done", st2.State, st2.Error)
+			id := k.submit(t, hs.URL, "chaosstall")
+			st := waitTerminal(t, hs.URL, id, 10*time.Second)
+			if st.State != JobTimedOut {
+				t.Fatalf("state %s (%s), want timed_out", st.State, st.Error)
+			}
+			if want := fmt.Sprintf("deadline %s exceeded: ", deadline); !strings.HasPrefix(st.Error, want) {
+				t.Fatalf("error %q, want prefix %q", st.Error, want)
+			}
+			assertHealthy(t, hs.URL)
+			if n := metricInt(t, hs.URL, k.counter, "timed_out"); n != 1 {
+				t.Fatalf("%s.timed_out = %d, want 1", k.counter, n)
+			}
+			// Worker survived the timeout: with the stall disarmed it must pick up
+			// and complete the next job.
+			faultinject.Reset()
+			id2 := k.submit(t, hs.URL, "chaosstall")
+			if st2 := waitTerminal(t, hs.URL, id2, 30*time.Second); st2.State != JobDone {
+				t.Fatalf("post-stall %s state %s (%s), want done", k.kind, st2.State, st2.Error)
+			}
+		})
 	}
 }
 
-// TestChaosStalledJobCanceledViaDelete cancels a stalled running job through
-// the API: cancellation must cut the 60s stall short.
+// TestChaosStalledJobCanceledViaDelete cancels a stalled running job of
+// each kind through DELETE /v1/jobs/{id}: cancellation must cut the 60s
+// stall short, and the worker must go on to complete the next job.
 func TestChaosStalledJobCanceledViaDelete(t *testing.T) {
-	armFaults(t, "server.fit=delay:60s")
-	_, hs := newTestServer(t, Config{FitWorkers: 1})
+	for _, k := range chaosKinds {
+		t.Run(k.kind, func(t *testing.T) {
+			_, hs := newTestServer(t, Config{FitWorkers: 1})
+			k.setup(t, hs.URL, "chaoscancel")
+			armFaults(t, k.point+"=delay:60s")
 
-	id := submitChaosFit(t, hs.URL, "chaoscancel")
-	waitRunning(t, hs.URL, id)
+			id := k.submit(t, hs.URL, "chaoscancel")
+			waitRunning(t, hs.URL, id)
 
-	resp := cancelJob(t, hs.URL, id)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cancel: HTTP %d", resp.StatusCode)
-	}
-	resp.Body.Close()
-	start := time.Now()
-	st := waitTerminal(t, hs.URL, id, 10*time.Second)
-	if st.State != JobCanceled {
-		t.Fatalf("state %s (%s), want canceled", st.State, st.Error)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("cancellation took %v against a 60s stall", elapsed)
-	}
-	assertHealthy(t, hs.URL)
-	if n := metricInt(t, hs.URL, "jobs", "canceled"); n != 1 {
-		t.Fatalf("jobs.canceled = %d, want 1", n)
-	}
+			resp := cancelJob(t, hs.URL, id)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("cancel: HTTP %d", resp.StatusCode)
+			}
+			resp.Body.Close()
+			start := time.Now()
+			st := waitTerminal(t, hs.URL, id, 10*time.Second)
+			if st.State != JobCanceled {
+				t.Fatalf("state %s (%s), want canceled", st.State, st.Error)
+			}
+			if elapsed := time.Since(start); elapsed > 5*time.Second {
+				t.Fatalf("cancellation took %v against a 60s stall", elapsed)
+			}
+			assertHealthy(t, hs.URL)
+			if n := metricInt(t, hs.URL, k.counter, "canceled"); n != 1 {
+				t.Fatalf("%s.canceled = %d, want 1", k.counter, n)
+			}
 
-	if resp := cancelJob(t, hs.URL, "job-424242"); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("cancel unknown job: HTTP %d, want 404", resp.StatusCode)
-	} else {
-		resp.Body.Close()
+			if resp := cancelJob(t, hs.URL, "job-424242"); resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("cancel unknown job: HTTP %d, want 404", resp.StatusCode)
+			} else {
+				resp.Body.Close()
+			}
+
+			faultinject.Reset()
+			id2 := k.submit(t, hs.URL, "chaoscancel")
+			if st2 := waitTerminal(t, hs.URL, id2, 30*time.Second); st2.State != JobDone {
+				t.Fatalf("post-cancel %s state %s (%s), want done", k.kind, st2.State, st2.Error)
+			}
+		})
 	}
 }
 
@@ -1031,4 +1126,144 @@ func TestCrashRecoveryQueueDepthDrainsToZero(t *testing.T) {
 		t.Fatalf("gauge not zero in exposition:\n%s", grepLines(body, "rsmd_job_queue_depth"))
 	}
 	assertHealthy(t, hs2.URL)
+}
+
+// updateJournalGolden rewrites testdata/journal_submitted.golden from the
+// running code. Only for a deliberate journal format change: a daemon must
+// still replay journals written before it.
+var updateJournalGolden = flag.Bool("update-journal-golden", false,
+	"rewrite testdata/journal_submitted.golden")
+
+// Fixed submit bodies for the journal golden test, one per job kind.
+const (
+	goldenFitBody = `{"name":"golden","folds":2,"max_lambda":3,
+		"points":[[0.1,0.2],[0.3,-0.4],[-0.5,0.6],[0.7,0.8],[0.2,-0.6],[-0.3,0.5]],
+		"values":[1,2,3,4,5,6],"timeout_seconds":30}`
+	goldenRefineBody   = `{"points":[[0.4,-0.1],[-0.2,0.9]],"values":[2.5,3.5],"folds":2}`
+	goldenPipelineBody = `{"name":"golden-pipe",
+		"netlist":"* RC low-pass\nV1 in 0 DC 0\nR1 in out 1k\nC1 out 0 159.155n\n.ac V1 1 dec 10 10 100k\n.print out\n.end\n",
+		"spec":{"variation":{"devices":[{"device":"R1","params":["rwire"],"w":1,"l":1}],
+			"inter_die_sigma":{"rwire":0.05},"pelgrom_a":{"rwire":0.02}},
+			"measure":{"kind":"ac_gain_db","node":"out","freq":1000},
+			"sampling":{"mode":"mc","samples":16,"seed":7},
+			"fit":{"degree":1,"solvers":["omp"]}},
+		"timeout_seconds":60}`
+)
+
+// TestCrashJournalFormatGolden pins the journal's submitted records: one
+// fixed request of each job kind is submitted to a journaled daemon, and
+// every submitted record's kind and payload bytes must match what the
+// daemon wrote when this test was introduced. Replay of a journal written
+// by an older daemon depends on exactly these bytes, which the same-binary
+// crash tests cannot notice drifting.
+func TestCrashJournalFormatGolden(t *testing.T) {
+	faultinject.Reset()
+	dir := t.TempDir()
+	s, hs := newJournaledServer(t, dir, Config{FitWorkers: 1})
+
+	// The fit runs to done so the refine has a checkpointed parent; the
+	// refine and pipeline stall and die with the daemon, their submitted
+	// records already on disk.
+	resp := post(t, hs.URL+"/v1/fit", goldenFitBody)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("fit submit: HTTP %d", resp.StatusCode)
+	}
+	if st := waitTerminal(t, hs.URL, decode[FitResponse](t, resp).JobID, 30*time.Second); st.State != JobDone {
+		t.Fatalf("fit state %s (%q), want done", st.State, st.Error)
+	}
+	armFaults(t, "server.refine=delay:60s;server.pipeline=delay:60s")
+	resp = post(t, hs.URL+"/v1/models/golden/refine", goldenRefineBody)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("refine submit: HTTP %d", resp.StatusCode)
+	}
+	resp.Body.Close()
+	submitPipeline(t, hs.URL, goldenPipelineBody)
+	crashServer(t, s, hs)
+
+	segs, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("journal segments: %v (%v)", segs, err)
+	}
+	var got bytes.Buffer
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+			var rec journal.Record
+			if err := json.Unmarshal(line, &rec); err != nil {
+				t.Fatalf("journal line %q: %v", line, err)
+			}
+			if rec.Type == journal.TypeSubmitted {
+				fmt.Fprintf(&got, "%s %s\n", rec.Kind, rec.Payload)
+			}
+		}
+	}
+
+	golden := filepath.Join("testdata", "journal_submitted.golden")
+	if *updateJournalGolden {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("submitted journal records drifted from %s\ngot:\n%s\nwant:\n%s", golden, got.Bytes(), want)
+	}
+}
+
+// TestCrashRecoveryQuarantinesUnknownKind: a journaled job whose kind this
+// daemon does not know is quarantined at boot — failed with the kind named,
+// journaled terminal and counted — and never run as some other kind.
+func TestCrashRecoveryQuarantinesUnknownKind(t *testing.T) {
+	faultinject.Reset()
+	dir := t.TempDir()
+	jnl, _, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Append(journal.Record{
+		Type: journal.TypeSubmitted, JobID: "job-000001", Kind: "bogus",
+		Payload: json.RawMessage(chaosFitBody("bogus")),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	const want = `quarantined: unknown job kind "bogus"`
+	s2, hs2 := newJournaledServer(t, dir, Config{FitWorkers: 1})
+	st := getJobStatus(t, hs2.URL, "job-000001")
+	if st.State != JobFailed || st.Error != want || st.Kind != "bogus" {
+		t.Fatalf("unknown-kind job kind %q state %s (%q), want bogus failed (%q)", st.Kind, st.State, st.Error, want)
+	}
+	if st.Started != nil {
+		t.Fatalf("unknown-kind job started at %v, want never run", st.Started)
+	}
+	if n := metricInt(t, hs2.URL, "journal", "jobs_quarantined"); n != 1 {
+		t.Fatalf("journal.jobs_quarantined = %d, want 1", n)
+	}
+	if n := metricInt(t, hs2.URL, "journal", "jobs_recovered"); n != 0 {
+		t.Fatalf("journal.jobs_recovered = %d, want 0", n)
+	}
+	if n := metricInt(t, hs2.URL, "jobs", "failed"); n != 0 {
+		t.Fatalf("jobs.failed = %d, want 0 (a quarantine is not a fit outcome)", n)
+	}
+	hs2.Close()
+	s2.Close()
+
+	// The quarantine is journaled terminal: the next life replays it as is.
+	s3, hs3 := newJournaledServer(t, dir, Config{FitWorkers: 1})
+	t.Cleanup(func() { hs3.Close(); s3.Close() })
+	if st := getJobStatus(t, hs3.URL, "job-000001"); st.State != JobFailed || st.Error != want {
+		t.Fatalf("third-life state %s (%q), want the journaled quarantine", st.State, st.Error)
+	}
+	if n := metricInt(t, hs3.URL, "journal", "jobs_quarantined"); n != 0 {
+		t.Fatalf("third-life jobs_quarantined = %d, want 0 (outcome already terminal)", n)
+	}
 }

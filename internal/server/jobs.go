@@ -49,28 +49,19 @@ func terminalState(state string) bool {
 	return false
 }
 
-// Job kinds.
-const (
-	JobKindFit      = "fit"
-	JobKindPipeline = "pipeline"
-	JobKindRefine   = "refine"
-)
-
-// job is one queued async request (a fit or a full pipeline) and its
+// job is one queued async request (a fit, pipeline or refine) and its
 // lifecycle record. The mutex-guarded fields are updated by the worker and
 // read by status polls; ctx is canceled by DELETE /v1/jobs/{id} (or
 // /v1/pipelines/{id}) and by queue shutdown, and the worker layers the
 // per-job deadline on top of it.
 type job struct {
 	id        string
-	kind      string // JobKindFit | JobKindPipeline | JobKindRefine
-	requestID string // trace ID of the submitting request
-	idemKey   string // Idempotency-Key of the submitting request ("" = none)
-	attempt   int    // crash-recovery replays before this life (0 = first)
-	req       FitRequest
-	pipeReq   *PipelineRequest // set when kind is JobKindPipeline
-	refineReq *RefineRequest   // set when kind is JobKindRefine (carries Name)
-	q         *jobQueue        // owning queue, for terminal bookkeeping
+	kind      string     // a jobKinds name; a replayed job may carry an unknown one
+	requestID string     // trace ID of the submitting request
+	idemKey   string     // Idempotency-Key of the submitting request ("" = none)
+	attempt   int        // crash-recovery replays before this life (0 = first)
+	req       jobRequest // nil on a replayed job that will not run again
+	q         *jobQueue  // owning queue, for terminal bookkeeping
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -91,9 +82,7 @@ type job struct {
 	started   time.Time
 	finished  time.Time
 	err       string
-	result    *FitResult
-	presult   *PipelineResult
-	rresult   *RefineResult
+	result    jobResult           // set when done
 	events    []FitEventInfo      // solver telemetry timeline, capped at maxJobEvents
 	stages    []PipelineStageInfo // pipeline stage timeline
 	// timeline is the unified job event stream (state transitions, fit
@@ -178,9 +167,10 @@ func (j *job) status() *JobStatus {
 	defer j.mu.Unlock()
 	s := &JobStatus{
 		ID: j.id, Kind: j.kind, RequestID: j.requestID, TraceID: j.traceID, State: j.state,
-		Submitted: j.submitted, Error: j.err, Result: j.result, Pipeline: j.presult,
-		Refine:          j.rresult,
-		RecoveryAttempt: j.attempt,
+		Submitted: j.submitted, Error: j.err, RecoveryAttempt: j.attempt,
+	}
+	if j.result != nil {
+		j.result.report(s)
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -246,7 +236,7 @@ func (j *job) begin() bool {
 
 // finish records a terminal state and runs the queue's terminal
 // bookkeeping (metrics + journal); later transitions are ignored.
-func (j *job) finish(state, errMsg string, result *FitResult) bool {
+func (j *job) finish(state, errMsg string, result jobResult) bool {
 	j.mu.Lock()
 	if terminalState(j.state) {
 		j.mu.Unlock()
@@ -255,44 +245,6 @@ func (j *job) finish(state, errMsg string, result *FitResult) bool {
 	j.state = state
 	j.err = errMsg
 	j.result = result
-	j.finished = time.Now()
-	persist := !j.noPersist
-	j.stateEventLocked()
-	j.closeSubsLocked()
-	j.mu.Unlock()
-	j.q.noteTerminal(j, state, errMsg, persist)
-	return true
-}
-
-// finishRefine is finish for refine jobs.
-func (j *job) finishRefine(state, errMsg string, result *RefineResult) bool {
-	j.mu.Lock()
-	if terminalState(j.state) {
-		j.mu.Unlock()
-		return false
-	}
-	j.state = state
-	j.err = errMsg
-	j.rresult = result
-	j.finished = time.Now()
-	persist := !j.noPersist
-	j.stateEventLocked()
-	j.closeSubsLocked()
-	j.mu.Unlock()
-	j.q.noteTerminal(j, state, errMsg, persist)
-	return true
-}
-
-// finishPipeline is finish for pipeline jobs.
-func (j *job) finishPipeline(state, errMsg string, result *PipelineResult) bool {
-	j.mu.Lock()
-	if terminalState(j.state) {
-		j.mu.Unlock()
-		return false
-	}
-	j.state = state
-	j.err = errMsg
-	j.presult = result
 	j.finished = time.Now()
 	persist := !j.noPersist
 	j.stateEventLocked()
@@ -338,10 +290,11 @@ func (j *job) requestCancel(reason string, persist bool) bool {
 	return wasPending
 }
 
-// jobQueue is a bounded FIFO of fit jobs drained by a fixed worker pool.
-// When a journal is attached, every admission writes (and fsyncs) a
-// submitted record before the job becomes visible, and every terminal
-// transition appends a terminal record — the durable-queue contract.
+// jobQueue is a bounded FIFO of jobs of every kind, drained by a fixed
+// worker pool. When a journal is attached, every admission writes (and
+// fsyncs) a submitted record before the job becomes visible, and every
+// terminal transition appends a terminal record — the durable-queue
+// contract.
 type jobQueue struct {
 	mu     sync.Mutex
 	byID   map[string]*job
@@ -379,37 +332,18 @@ func newJobQueue(depth int, onTerminal func(kind, state string), jnl *journal.Jo
 	}
 }
 
-// submit enqueues a fit job, failing when the queue is full or closed. The
-// requestID of the submitting HTTP request is stamped on the job so its
-// whole lifecycle — submission log line, worker log lines, status polls —
-// correlates back to one trace. existing reports an Idempotency-Key dedup
-// hit: the returned job is the original, and nothing new was enqueued.
-func (q *jobQueue) submit(ctx context.Context, req FitRequest, requestID, idemKey string) (j *job, existing bool, err error) {
-	return q.enqueue(ctx, &job{kind: JobKindFit, requestID: requestID, idemKey: idemKey, req: req})
-}
-
-// submitPipeline enqueues a pipeline job into the same bounded queue and
-// worker pool fit jobs use, so one saturation/load-shedding policy governs
-// both.
-func (q *jobQueue) submitPipeline(ctx context.Context, req PipelineRequest, requestID, idemKey string) (j *job, existing bool, err error) {
-	return q.enqueue(ctx, &job{kind: JobKindPipeline, requestID: requestID, idemKey: idemKey, pipeReq: &req})
-}
-
-// submitRefine enqueues an incremental-refit job. req.Name must already be
-// populated (from the URL path) so the journaled payload identifies the
-// model across crash recovery.
-func (q *jobQueue) submitRefine(ctx context.Context, req RefineRequest, requestID, idemKey string) (j *job, existing bool, err error) {
-	return q.enqueue(ctx, &job{kind: JobKindRefine, requestID: requestID, idemKey: idemKey, refineReq: &req})
-}
-
-// enqueue assigns the job its ID and context and admits it to the queue,
-// after the journal (when attached) durably recorded the submission. The
-// fsync happens under the queue lock — submissions serialize on it, which
-// is the price of never acknowledging a job the disk hasn't seen. The
-// submitting request's ctx supplies the trace: the job gets a pinned
-// holding span under it, created before the channel send so a worker can
-// never pick the job up span-less.
-func (q *jobQueue) enqueue(ctx context.Context, j *job) (*job, bool, error) {
+// enqueue admits a job of req's kind, failing when the queue is full or
+// closed. It assigns the job its ID and context after the journal (when
+// attached) durably recorded the submission. The fsync happens under the
+// queue lock — submissions serialize on it, which is the price of never
+// acknowledging a job the disk hasn't seen. The submitting request's ctx
+// supplies the trace: the job gets a pinned holding span under it, created
+// before the channel send so a worker can never pick the job up span-less.
+// requestID is stamped on the job so its whole lifecycle correlates back to
+// one trace. existing reports an Idempotency-Key dedup hit: the returned
+// job is the original, and nothing new was enqueued.
+func (q *jobQueue) enqueue(ctx context.Context, req jobRequest, requestID, idemKey string) (*job, bool, error) {
+	j := &job{kind: req.kind(), requestID: requestID, idemKey: idemKey, req: req}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -425,16 +359,7 @@ func (q *jobQueue) enqueue(ctx context.Context, j *job) (*job, bool, error) {
 	}
 	id := fmt.Sprintf("%sjob-%06d", q.idPrefix, q.nextID+1)
 	if q.jnl != nil {
-		var payload json.RawMessage
-		var err error
-		switch j.kind {
-		case JobKindPipeline:
-			payload, err = json.Marshal(j.pipeReq)
-		case JobKindRefine:
-			payload, err = json.Marshal(j.refineReq)
-		default:
-			payload, err = json.Marshal(&j.req)
-		}
+		payload, err := json.Marshal(req)
 		if err != nil {
 			return nil, false, fmt.Errorf("server: encode job payload: %w", err)
 		}
@@ -750,24 +675,24 @@ func fitBasis(degree, dim int) (*basis.Basis, error) {
 	}
 }
 
-// jobDeadline resolves the effective fit deadline: the server-wide cap,
-// tightened by the request's own timeout_seconds when smaller.
-func (s *Server) jobDeadline(req *FitRequest) time.Duration {
-	d := s.cfg.FitTimeout
-	if req.TimeoutSeconds > 0 {
-		if r := time.Duration(req.TimeoutSeconds * float64(time.Second)); r < d {
-			d = r
-		}
-	}
-	return d
+// jobRun is one worker execution of a job: the shared scaffolding's state
+// a kind's run body works with.
+type jobRun struct {
+	s   *Server
+	j   *job
+	log *slog.Logger
+	// span is the kind's work span (see jobRequest.workSpan) and spans its
+	// per-stage children; both nil for a kind without one.
+	span  *trace.Span
+	spans *trace.SpanSet
 }
 
-// runFit executes one fit job end to end: dataset → cross-validated sparse
-// fit → registry publication. It is the worker's unit of work and must never
-// let a failure escape: solver panics are contained here (the incident is
-// counted and the job fails, the worker survives), cancellation and deadline
-// expiry land the job in canceled/timed_out, and everything else in failed.
-func (s *Server) runFit(j *job) {
+// runJob executes one job of any kind end to end; it is the worker's unit
+// of work and must never let a failure escape: panics anywhere in the
+// kind's body are contained here (the incident is counted and the job
+// fails, the worker survives), cancellation and deadline expiry land the
+// job in canceled/timed_out, and everything else in failed.
+func (s *Server) runJob(j *job) {
 	if !j.begin() {
 		return // canceled while queued
 	}
@@ -775,11 +700,11 @@ func (s *Server) runFit(j *job) {
 	queueWait := j.started.Sub(j.submitted)
 	s.metrics.observeQueueWait(queueWait)
 	logger := s.log.With("job_id", j.id, "request_id", j.requestID)
-	logger.Info("fit job started",
-		"solver", j.req.Solver, "degree", j.req.Degree, "folds", j.req.Folds,
-		"max_lambda", j.req.MaxLambda, "recovery_attempt", j.attempt,
-		"queue_wait_ms", float64(queueWait.Microseconds())/1000.0)
-	ctx, cancelCtx := context.WithTimeout(j.ctx, s.jobDeadline(&j.req))
+	logger.Info(j.kind+" job started", append(j.req.appendStartAttrs(nil),
+		"recovery_attempt", j.attempt,
+		"queue_wait_ms", float64(queueWait.Microseconds())/1000.0)...)
+	deadline := effectiveDeadline(j.req.limits(&s.cfg))
+	ctx, cancelCtx := context.WithTimeout(j.ctx, deadline)
 	defer cancelCtx()
 	// Re-attach the job span: j.ctx is rooted in Background (the job
 	// outlives its submitting request), so the trace rides on the job
@@ -787,82 +712,90 @@ func (s *Server) runFit(j *job) {
 	ctx = trace.ContextWithSpan(ctx, j.span)
 	_, qwSpan := trace.Start(ctx, "queue.wait", trace.WithStart(j.submitted))
 	qwSpan.End()
-	ctx, fitSpan := trace.Start(ctx, "fit", trace.WithAttrs(
-		trace.String("solver", j.req.Solver), trace.Int("folds", j.req.Folds),
-		trace.Int("max_lambda", j.req.MaxLambda)))
-	spans := trace.NewSpanSet(ctx)
-	ctx = core.WithFitObserver(ctx, func(ev core.FitEvent) {
-		j.addEvent(ev)
-		// Each CV fold and the final refit becomes a child span of the fit
-		// span, its attrs left at the last iteration's values.
-		spans.Observe(ev.Stage, trace.Int("iter", ev.Iter),
-			trace.Int("active", ev.Active), trace.Float("residual", ev.Residual))
-	})
-	ctx = core.WithFitWorkers(ctx, s.cfg.FitParallel)
+	r := &jobRun{s: s, j: j, log: logger}
+	if name, attrs := j.req.workSpan(); name != "" {
+		ctx = r.startWorkSpan(ctx, name, attrs)
+	}
 
-	finish := func(state, errMsg string, result *FitResult) {
-		spans.Close()
+	finish := func(state, errMsg string, result jobResult) {
+		r.spans.Close()
 		if state != JobDone {
-			fitSpan.SetStatus(trace.StatusError, errMsg)
+			r.span.SetStatus(trace.StatusError, errMsg)
 		}
-		fitSpan.End()
+		r.span.End()
 		// Terminal metrics and the journal record ride on job.finish via
 		// the queue's noteTerminal.
 		if !j.finish(state, errMsg, result) {
 			return
 		}
-		dur := j.finished.Sub(j.started)
+		dur := float64(j.finished.Sub(j.started).Microseconds()) / 1000.0
 		if state == JobDone {
-			logger.Info("fit job done", "state", state, "duration_ms", float64(dur.Microseconds())/1000.0)
+			logger.Info(j.kind+" job done", "state", state, "duration_ms", dur)
 		} else {
-			logger.Warn("fit job ended", "state", state, "error", errMsg,
-				"duration_ms", float64(dur.Microseconds())/1000.0)
-		}
-	}
-	fail := func(err error) {
-		switch {
-		case errors.Is(err, context.Canceled):
-			finish(JobCanceled, err.Error(), nil)
-		case errors.Is(err, context.DeadlineExceeded):
-			finish(JobTimedOut, fmt.Sprintf("deadline %s exceeded: %v", s.jobDeadline(&j.req), err), nil)
-		default:
-			finish(JobFailed, err.Error(), nil)
+			logger.Warn(j.kind+" job ended", "state", state, "error", errMsg, "duration_ms", dur)
 		}
 	}
 	defer func() {
 		if rec := recover(); rec != nil {
 			s.metrics.countPanic()
-			logger.Error("fit panicked", "panic", rec, "stack", string(debug.Stack()))
-			finish(JobFailed, fmt.Sprintf("internal: fit panicked: %v (incident logged)", rec), nil)
+			logger.Error(j.kind+" panicked", "panic", rec, "stack", string(debug.Stack()))
+			finish(JobFailed, fmt.Sprintf("internal: %s panicked: %v (incident logged)", j.kind, rec), nil)
 		}
 	}()
 
 	// Chaos hook: injected panics exercise the recovery above, injected
-	// delays stall the job against its deadline.
-	if err := faultinject.FireCtx(ctx, "server.fit"); err != nil {
-		fail(err)
-		return
+	// delays stall the job against its deadline — and a crash here leaves a
+	// non-terminal journal trail for replay to re-run.
+	err := faultinject.FireCtx(ctx, "server."+j.kind)
+	if err == nil {
+		err = ctx.Err()
 	}
-	if err := ctx.Err(); err != nil {
-		fail(err)
-		return
+	var result jobResult
+	if err == nil {
+		result, err = j.req.run(ctx, r)
 	}
+	switch {
+	case err == nil:
+		finish(JobDone, "", result)
+	case errors.Is(err, context.Canceled):
+		finish(JobCanceled, err.Error(), nil)
+	case errors.Is(err, context.DeadlineExceeded):
+		finish(JobTimedOut, fmt.Sprintf("deadline %s exceeded: %v", deadline, err), nil)
+	default:
+		finish(JobFailed, err.Error(), nil)
+	}
+}
 
-	req := j.req
-	points, f, metric, err := fitDataset(&req)
+// startWorkSpan opens the kind's work span under the job span and installs
+// the fit observer shared by fit and refine: it records solver telemetry on
+// the job and turns each CV fold and the final refit into a child span of
+// the work span, its attrs left at the last iteration's values.
+func (r *jobRun) startWorkSpan(ctx context.Context, name string, attrs []trace.Attr) context.Context {
+	ctx, r.span = trace.Start(ctx, name, trace.WithAttrs(attrs...))
+	r.spans = trace.NewSpanSet(ctx)
+	ctx = core.WithFitObserver(ctx, func(ev core.FitEvent) {
+		r.j.addEvent(ev)
+		r.spans.Observe(ev.Stage, trace.Int("iter", ev.Iter),
+			trace.Int("active", ev.Active), trace.Float("residual", ev.Residual))
+	})
+	return core.WithFitWorkers(ctx, r.s.cfg.FitParallel)
+}
+
+// run executes a fit job's body: dataset → cross-validated sparse fit →
+// registry publication.
+func (req *FitRequest) run(ctx context.Context, r *jobRun) (jobResult, error) {
+	s := r.s
+	points, f, metric, err := fitDataset(req)
 	if err != nil {
-		fail(fmt.Errorf("dataset: %w", err))
-		return
+		return nil, fmt.Errorf("dataset: %w", err)
 	}
 	b, err := fitBasis(req.Degree, len(points[0]))
 	if err != nil {
-		fail(err)
-		return
+		return nil, err
 	}
 	fitter, err := core.SolverByName(req.Solver)
 	if err != nil {
-		fail(err)
-		return
+		return nil, err
 	}
 	start := time.Now()
 	// Arm a natural-end checkpoint capture: the final refit's engine state is
@@ -871,8 +804,7 @@ func (s *Server) runFit(j *job) {
 	plan := &core.CheckpointPlan{}
 	cv, err := core.CrossValidateCtx(core.WithCheckpointPlan(ctx, plan), fitter, basis.AutoColMajor(b, points), f, req.Folds, req.MaxLambda)
 	if err != nil {
-		fail(fmt.Errorf("fit: %w", err))
-		return
+		return nil, fmt.Errorf("fit: %w", err)
 	}
 	env := &core.Envelope{
 		Model: cv.Model,
@@ -888,18 +820,17 @@ func (s *Server) runFit(j *job) {
 	}
 	entry, err := s.registry.Put(req.Name, env)
 	if err != nil {
-		fail(err)
-		return
+		return nil, err
 	}
-	s.persistCheckpoint(logger, entry, plan.CK, req.Solver, req.Folds, req.MaxLambda, metric, points, f)
+	s.persistCheckpoint(r.log, entry, plan.CK, req.Solver, req.Folds, req.MaxLambda, metric, points, f)
 	fitDur := time.Since(start)
-	s.metrics.observeFit(fitDur, finalIterations(j), j.traceID)
-	finish(JobDone, "", &FitResult{
+	s.metrics.observeFit(fitDur, finalIterations(r.j), r.j.traceID)
+	return &FitResult{
 		Model:      modelInfo(entry),
 		Lambda:     cv.BestLambda,
 		CVError:    cv.ErrCurve[cv.BestLambda-1],
 		FitSeconds: fitDur.Seconds(),
-	})
+	}, nil
 }
 
 // finalIterations counts the final-refit path steps in the job's timeline —

@@ -74,9 +74,9 @@ type metrics struct {
 	mu          sync.Mutex
 	routes      map[string]*routeStats
 	predictions map[string]int64 // model name → points predicted
-	jobs        struct{ submitted, completed, failed, canceled, timedOut int64 }
-	pipelines   struct{ submitted, completed, failed, canceled, timedOut int64 }
-	refines     struct{ submitted, completed, failed, canceled, timedOut int64 }
+	// jobs, pipelines and refines are the per-kind job tallies, reached by
+	// kind name through the jobKinds table.
+	jobs, pipelines, refines jobCounters
 	// refits tallies completed refine jobs by publish-gate outcome — the
 	// rsmd_refits_total{outcome} counter.
 	refits struct{ improved, rejected int64 }
@@ -124,6 +124,33 @@ type metrics struct {
 	// writes; self-locking so the submit path never contends with request
 	// accounting.
 	journalFsync *obs.Histogram
+}
+
+// jobCounters are one job kind's mu-guarded submit and terminal-state
+// tallies.
+type jobCounters struct{ submitted, completed, failed, canceled, timedOut int64 }
+
+// fields renders the tallies under their /metrics JSON keys.
+func (c jobCounters) fields() map[string]any {
+	return map[string]any{
+		"submitted": c.submitted,
+		"completed": c.completed,
+		"failed":    c.failed,
+		"canceled":  c.canceled,
+		"timed_out": c.timedOut,
+	}
+}
+
+// writeJobCounters renders one kind's tallies as its two Prometheus
+// families; noun starts their help text ("Fit", "Pipeline", "Refine").
+func writeJobCounters(pw *obs.PromWriter, submitted, total, noun string, c jobCounters) {
+	pw.Meta(submitted, "counter", noun+" jobs accepted into the queue.")
+	pw.Sample(submitted, "", float64(c.submitted))
+	pw.Meta(total, "counter", noun+" jobs reaching a terminal state, by state.")
+	pw.Sample(total, obs.Label("state", JobDone), float64(c.completed))
+	pw.Sample(total, obs.Label("state", JobFailed), float64(c.failed))
+	pw.Sample(total, obs.Label("state", JobCanceled), float64(c.canceled))
+	pw.Sample(total, obs.Label("state", JobTimedOut), float64(c.timedOut))
 }
 
 // proxyCounters are the mu-guarded cluster proxy-layer tallies.
@@ -215,20 +242,6 @@ func (m *metrics) observeJournalAppend(d time.Duration, err error) {
 	if err == nil {
 		m.journalFsync.Observe(d.Seconds())
 	}
-}
-
-// countPipelineSubmitted tracks one accepted pipeline job.
-func (m *metrics) countPipelineSubmitted() {
-	m.mu.Lock()
-	m.pipelines.submitted++
-	m.mu.Unlock()
-}
-
-// countRefineSubmitted tracks one accepted refine job.
-func (m *metrics) countRefineSubmitted() {
-	m.mu.Lock()
-	m.refines.submitted++
-	m.mu.Unlock()
 }
 
 // countRefit tallies one completed refine by publish-gate outcome
@@ -324,24 +337,20 @@ func (m *metrics) countPredictions(model string, n int) {
 	m.mu.Unlock()
 }
 
-// countJobSubmitted tracks one accepted fit job.
-func (m *metrics) countJobSubmitted() {
+// countSubmitted tracks one accepted job of the given kind.
+func (m *metrics) countSubmitted(kind string) {
+	k, _ := kindByName(kind)
 	m.mu.Lock()
-	m.jobs.submitted++
+	k.counters(m).submitted++
 	m.mu.Unlock()
 }
 
 // countJobEnd tracks one job of the given kind reaching the given terminal
 // state.
 func (m *metrics) countJobEnd(kind, state string) {
+	k, _ := kindByName(kind)
 	m.mu.Lock()
-	c := &m.jobs
-	switch kind {
-	case JobKindPipeline:
-		c = &m.pipelines
-	case JobKindRefine:
-		c = &m.refines
-	}
+	c := k.counters(m)
 	switch state {
 	case JobDone:
 		c.completed++
@@ -410,32 +419,14 @@ func (m *metrics) Snapshot(models, queueDepth int, cache cacheStats, jnl journal
 	for name, n := range m.predictions {
 		predictions[name] = n
 	}
-	jobs := map[string]int64{
-		"submitted": m.jobs.submitted,
-		"completed": m.jobs.completed,
-		"failed":    m.jobs.failed,
-		"canceled":  m.jobs.canceled,
-		"timed_out": m.jobs.timedOut,
-	}
-	pipelines := map[string]any{
-		"submitted":         m.pipelines.submitted,
-		"completed":         m.pipelines.completed,
-		"failed":            m.pipelines.failed,
-		"canceled":          m.pipelines.canceled,
-		"timed_out":         m.pipelines.timedOut,
-		"active":            m.activePipelines,
-		"samples_simulated": m.samplesSimulated,
-	}
-	refines := map[string]any{
-		"submitted": m.refines.submitted,
-		"completed": m.refines.completed,
-		"failed":    m.refines.failed,
-		"canceled":  m.refines.canceled,
-		"timed_out": m.refines.timedOut,
-		"outcomes": map[string]int64{
-			RefineImproved: m.refits.improved,
-			RefineRejected: m.refits.rejected,
-		},
+	jobs := m.jobs.fields()
+	pipelines := m.pipelines.fields()
+	pipelines["active"] = m.activePipelines
+	pipelines["samples_simulated"] = m.samplesSimulated
+	refines := m.refines.fields()
+	refines["outcomes"] = map[string]int64{
+		RefineImproved: m.refits.improved,
+		RefineRejected: m.refits.rejected,
 	}
 	ckBytes := make(map[string]int64, len(m.checkpointBytes))
 	for name, n := range m.checkpointBytes {
@@ -635,21 +626,9 @@ func (m *metrics) writePrometheus(w io.Writer, models, queueDepth int, cache cac
 	pw.Meta("rsmd_predict_coalesced_points", "histogram", "Total points per executed micro-batch flush.")
 	pw.Histogram("rsmd_predict_coalesced_points", "", m.coalescedPoints.Snapshot())
 
-	pw.Meta("rsmd_jobs_submitted_total", "counter", "Fit jobs accepted into the queue.")
-	pw.Sample("rsmd_jobs_submitted_total", "", float64(jobs.submitted))
-	pw.Meta("rsmd_jobs_total", "counter", "Fit jobs reaching a terminal state, by state.")
-	pw.Sample("rsmd_jobs_total", obs.Label("state", JobDone), float64(jobs.completed))
-	pw.Sample("rsmd_jobs_total", obs.Label("state", JobFailed), float64(jobs.failed))
-	pw.Sample("rsmd_jobs_total", obs.Label("state", JobCanceled), float64(jobs.canceled))
-	pw.Sample("rsmd_jobs_total", obs.Label("state", JobTimedOut), float64(jobs.timedOut))
+	writeJobCounters(pw, "rsmd_jobs_submitted_total", "rsmd_jobs_total", "Fit", jobs)
 
-	pw.Meta("rsmd_pipelines_submitted_total", "counter", "Pipeline jobs accepted into the queue.")
-	pw.Sample("rsmd_pipelines_submitted_total", "", float64(pipelines.submitted))
-	pw.Meta("rsmd_pipelines_total", "counter", "Pipeline jobs reaching a terminal state, by state.")
-	pw.Sample("rsmd_pipelines_total", obs.Label("state", JobDone), float64(pipelines.completed))
-	pw.Sample("rsmd_pipelines_total", obs.Label("state", JobFailed), float64(pipelines.failed))
-	pw.Sample("rsmd_pipelines_total", obs.Label("state", JobCanceled), float64(pipelines.canceled))
-	pw.Sample("rsmd_pipelines_total", obs.Label("state", JobTimedOut), float64(pipelines.timedOut))
+	writeJobCounters(pw, "rsmd_pipelines_submitted_total", "rsmd_pipelines_total", "Pipeline", pipelines)
 	pw.Meta("rsmd_pipelines_active", "gauge", "Pipeline jobs currently running.")
 	pw.Sample("rsmd_pipelines_active", "", float64(activePipelines))
 	pw.Meta("rsmd_pipeline_samples_total", "counter", "Circuit simulations executed by pipeline sampling stages.")
@@ -659,13 +638,7 @@ func (m *metrics) writePrometheus(w io.Writer, models, queueDepth int, cache cac
 		pw.Histogram("rsmd_pipeline_stage_duration_seconds", obs.Label("stage", stage), m.stageDuration[stage].Snapshot())
 	}
 
-	pw.Meta("rsmd_refines_submitted_total", "counter", "Refine jobs accepted into the queue.")
-	pw.Sample("rsmd_refines_submitted_total", "", float64(refines.submitted))
-	pw.Meta("rsmd_refine_jobs_total", "counter", "Refine jobs reaching a terminal state, by state.")
-	pw.Sample("rsmd_refine_jobs_total", obs.Label("state", JobDone), float64(refines.completed))
-	pw.Sample("rsmd_refine_jobs_total", obs.Label("state", JobFailed), float64(refines.failed))
-	pw.Sample("rsmd_refine_jobs_total", obs.Label("state", JobCanceled), float64(refines.canceled))
-	pw.Sample("rsmd_refine_jobs_total", obs.Label("state", JobTimedOut), float64(refines.timedOut))
+	writeJobCounters(pw, "rsmd_refines_submitted_total", "rsmd_refine_jobs_total", "Refine", refines)
 	pw.Meta("rsmd_refits_total", "counter", "Completed refines by publish-gate outcome: improved published a new version, rejected kept the parent.")
 	pw.Sample("rsmd_refits_total", obs.Label("outcome", RefineImproved), float64(refits.improved))
 	pw.Sample("rsmd_refits_total", obs.Label("outcome", RefineRejected), float64(refits.rejected))

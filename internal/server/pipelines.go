@@ -2,32 +2,12 @@ package server
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"net/http"
-	"runtime/debug"
 	"time"
 
-	"repro/internal/faultinject"
-	"repro/internal/obs"
-	"repro/internal/obs/trace"
 	"repro/internal/pipeline"
 	"repro/internal/registry"
 )
-
-// runJob is the worker-pool dispatch: fit, pipeline and refine jobs share
-// one bounded queue and worker pool, so a single saturation policy governs
-// them all.
-func (s *Server) runJob(j *job) {
-	switch j.kind {
-	case JobKindPipeline:
-		s.runPipeline(j)
-	case JobKindRefine:
-		s.runRefine(j)
-	default:
-		s.runFit(j)
-	}
-}
 
 // handlePipelineSubmit validates and enqueues a netlist-in, model-out
 // pipeline job. Spec-level validation (parameter kinds, measure shape,
@@ -61,35 +41,12 @@ func (s *Server) handlePipelineSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "timeout_seconds=%g, need ≥ 0", req.TimeoutSeconds)
 		return
 	}
-	idemKey, ok := idempotencyKey(w, r)
-	if !ok {
-		return
-	}
-	j, existing, err := s.jobs.submitPipeline(r.Context(), req, obs.RequestID(r.Context()), idemKey)
-	if err != nil {
-		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	if existing {
-		if j.kind != JobKindPipeline {
-			writeErr(w, http.StatusConflict,
-				"idempotency key %q was used by %s job %s", idemKey, j.kind, j.id)
-			return
-		}
-		w.Header().Set(idemReplayedHeader, "true")
-		writeJSON(w, http.StatusAccepted, PipelineResponse{JobID: j.id, State: j.status().State})
-		return
-	}
-	s.metrics.countPipelineSubmitted()
-	obs.Log(r.Context()).Info("pipeline job submitted",
-		"job_id", j.id, "name", req.Name, "measure", req.Spec.Measure.String(),
-		"mode", req.Spec.Sampling.Mode, "queue_depth", s.jobs.depth())
-	writeJSON(w, http.StatusAccepted, PipelineResponse{JobID: j.id, State: JobPending})
+	s.submitJob(w, r, &req, "name", req.Name, "measure", req.Spec.Measure.String(),
+		"mode", req.Spec.Sampling.Mode)
 }
 
-// lookupPipelineJob resolves {id} to a pipeline job; fit job IDs 404 here
-// so the two resources stay distinct even though they share an ID space.
+// lookupPipelineJob resolves {id} to a pipeline job; other kinds' IDs 404
+// here so the resources stay distinct even though they share an ID space.
 func (s *Server) lookupPipelineJob(w http.ResponseWriter, r *http.Request) (*job, bool) {
 	id := r.PathValue("id")
 	if s.redirectJob(w, r, id) {
@@ -126,88 +83,12 @@ func (s *Server) handlePipelineCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.status())
 }
 
-// pipelineDeadline resolves the effective end-to-end deadline: the
-// server-wide cap, tightened by the request's own timeout when smaller.
-func (s *Server) pipelineDeadline(req *PipelineRequest) time.Duration {
-	d := s.cfg.PipelineTimeout
-	if req.TimeoutSeconds > 0 {
-		if r := time.Duration(req.TimeoutSeconds * float64(time.Second)); r < d {
-			d = r
-		}
-	}
-	return d
-}
-
-// runPipeline executes one pipeline job end to end. Like runFit it must
-// never let a failure escape the worker: panics anywhere in the pipeline
-// (parser, simulator, solvers) are contained here, cancellation and
-// deadline expiry land the job in canceled/timed_out, and everything else
-// in failed.
-func (s *Server) runPipeline(j *job) {
-	if !j.begin() {
-		return // canceled while queued
-	}
-	s.jobs.noteStarted(j)
-	queueWait := j.started.Sub(j.submitted)
-	s.metrics.observeQueueWait(queueWait)
-	req := j.pipeReq
-	logger := s.log.With("job_id", j.id, "request_id", j.requestID)
-	logger.Info("pipeline job started",
-		"name", req.Name, "measure", req.Spec.Measure.String(), "mode", req.Spec.Sampling.Mode,
-		"recovery_attempt", j.attempt, "queue_wait_ms", float64(queueWait.Microseconds())/1000.0)
+// run executes a pipeline job's body: parse → space → sample → fit →
+// publish, with each stage recorded on the job's timeline.
+func (req *PipelineRequest) run(ctx context.Context, r *jobRun) (jobResult, error) {
+	s, j, logger := r.s, r.j, r.log
 	s.metrics.pipelineActive(+1)
 	defer s.metrics.pipelineActive(-1)
-	ctx, cancelCtx := context.WithTimeout(j.ctx, s.pipelineDeadline(req))
-	defer cancelCtx()
-	// Re-attach the job span (j.ctx is rooted in Background); the pipeline
-	// stages and solver trials open their own children under it.
-	ctx = trace.ContextWithSpan(ctx, j.span)
-	_, qwSpan := trace.Start(ctx, "queue.wait", trace.WithStart(j.submitted))
-	qwSpan.End()
-
-	finish := func(state, errMsg string, result *PipelineResult) {
-		// Terminal metrics and the journal record ride on finishPipeline
-		// via the queue's noteTerminal.
-		if !j.finishPipeline(state, errMsg, result) {
-			return
-		}
-		dur := j.finished.Sub(j.started)
-		if state == JobDone {
-			logger.Info("pipeline job done", "state", state, "duration_ms", float64(dur.Microseconds())/1000.0)
-		} else {
-			logger.Warn("pipeline job ended", "state", state, "error", errMsg,
-				"duration_ms", float64(dur.Microseconds())/1000.0)
-		}
-	}
-	fail := func(err error) {
-		switch {
-		case errors.Is(err, context.Canceled):
-			finish(JobCanceled, err.Error(), nil)
-		case errors.Is(err, context.DeadlineExceeded):
-			finish(JobTimedOut, fmt.Sprintf("deadline %s exceeded: %v", s.pipelineDeadline(req), err), nil)
-		default:
-			finish(JobFailed, err.Error(), nil)
-		}
-	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.metrics.countPanic()
-			logger.Error("pipeline panicked", "panic", rec, "stack", string(debug.Stack()))
-			finish(JobFailed, fmt.Sprintf("internal: pipeline panicked: %v (incident logged)", rec), nil)
-		}
-	}()
-
-	// Chaos hook: injected panics exercise the recovery above, injected
-	// delays stall the job against its deadline.
-	if err := faultinject.FireCtx(ctx, "server.pipeline"); err != nil {
-		fail(err)
-		return
-	}
-	if err := ctx.Err(); err != nil {
-		fail(err)
-		return
-	}
-
 	res, err := pipeline.Run(ctx, pipeline.Request{
 		Name: req.Name, Netlist: req.Netlist, Spec: req.Spec,
 	}, pipeline.Options{
@@ -237,11 +118,10 @@ func (s *Server) runPipeline(j *job) {
 		},
 	})
 	if err != nil {
-		fail(err)
-		return
+		return nil, err
 	}
 	s.metrics.observeFit(time.Duration(res.FitSeconds*float64(time.Second)), finalIterations(j), j.traceID)
-	finish(JobDone, "", &PipelineResult{
+	return &PipelineResult{
 		Model:   modelInfo(res.Entry),
 		Solver:  res.Solver,
 		Lambda:  res.Lambda,
@@ -250,5 +130,5 @@ func (s *Server) runPipeline(j *job) {
 		Samples: res.Samples, Rounds: res.Rounds, Converged: res.Converged,
 		Dim: res.Dim, Metric: res.Metric,
 		SimSeconds: res.SimSeconds, FitSeconds: res.FitSeconds,
-	})
+	}, nil
 }

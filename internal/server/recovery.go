@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -10,8 +9,8 @@ import (
 	"repro/internal/obs/trace"
 )
 
-// idemKeyHeader carries the client's submit-dedup token on POST /v1/fit
-// and POST /v1/pipelines; idemReplayedHeader marks a 202 that returned an
+// idemKeyHeader carries the client's submit-dedup token on every job
+// submit route; idemReplayedHeader marks a 202 that returned an
 // already-known job instead of enqueuing a new one.
 const (
 	idemKeyHeader      = "Idempotency-Key"
@@ -54,6 +53,8 @@ func idempotencyKey(w http.ResponseWriter, r *http.Request) (string, bool) {
 //   - terminal jobs are restored as queryable records (state, error and
 //     identity — results are not journaled) without re-counting terminal
 //     metrics;
+//   - live jobs of a kind missing from jobKinds are quarantined as failed,
+//     never run as another kind;
 //   - live jobs that already crashed the daemon RecoveryMaxAttempts times
 //     are quarantined as failed — the poison-job guard — and that outcome
 //     is journaled so it sticks;
@@ -80,9 +81,10 @@ func (s *Server) recoverJournal(rp *journal.Replay) {
 			attempt: js.Attempts, submitted: js.Submitted, started: js.Started,
 		}
 		if j.kind == "" {
-			j.kind = JobKindFit
+			j.kind = JobKindFit // legacy records predate the kind field
 		}
 		j.ctx, j.cancel = context.WithCancel(context.Background())
+		kind, known := kindByName(j.kind)
 		switch {
 		case js.Terminal:
 			// A restored terminal job reports how many recovery re-runs it
@@ -102,18 +104,26 @@ func (s *Server) recoverJournal(rp *journal.Replay) {
 			j.cancel()
 			s.jobs.restore(j, false)
 			jobSpan.SetAttr("decision", "restored-terminal")
+		case !known:
+			s.quarantine(j, fmt.Sprintf("quarantined: unknown job kind %q", j.kind))
+			jobSpan.SetAttr("decision", "quarantined")
 		case js.Attempts >= s.cfg.RecoveryMaxAttempts:
 			s.quarantine(j, fmt.Sprintf(
 				"quarantined: job crashed the daemon %d times (recovery limit %d)",
 				js.Attempts, s.cfg.RecoveryMaxAttempts))
 			jobSpan.SetAttr("decision", "quarantined")
 		default:
-			if err := decodeJobPayload(j, js.Payload); err != nil {
+			req, err := kind.decode(js.Payload)
+			if len(js.Payload) == 0 {
+				err = fmt.Errorf("no payload journaled")
+			}
+			if err != nil {
 				s.quarantine(j, fmt.Sprintf("quarantined: journal payload unusable: %v", err))
 				jobSpan.SetAttr("decision", "quarantined")
 				jobSpan.EndErr(err)
 				continue
 			}
+			j.req = req
 			j.state = JobPending
 			// A recovered job's submitting request is long gone; give its
 			// re-run a pinned root trace of its own so GET /v1/jobs/{id}/trace
@@ -148,32 +158,4 @@ func (s *Server) quarantine(j *job, reason string) {
 	s.metrics.countJournal(func(c *journalCounters) { c.quarantined++ })
 	s.jobs.noteTerminalRecordOnly(j, JobFailed, reason)
 	s.log.Warn("quarantined journaled job", "job_id", j.id, "kind", j.kind, "reason", reason)
-}
-
-// decodeJobPayload rebuilds the job's request from its journaled payload.
-func decodeJobPayload(j *job, payload json.RawMessage) error {
-	if len(payload) == 0 {
-		return fmt.Errorf("no payload journaled")
-	}
-	switch j.kind {
-	case JobKindPipeline:
-		var req PipelineRequest
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return err
-		}
-		j.pipeReq = &req
-		return nil
-	case JobKindRefine:
-		var req RefineRequest
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return err
-		}
-		if req.Name == "" {
-			return fmt.Errorf("refine payload names no model")
-		}
-		j.refineReq = &req
-		return nil
-	default:
-		return json.Unmarshal(payload, &j.req)
-	}
 }

@@ -2,17 +2,13 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"runtime/debug"
 	"time"
 
 	"repro/internal/basis"
 	"repro/internal/core"
-	"repro/internal/faultinject"
-	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/registry"
 )
@@ -73,42 +69,7 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 			"model %s@v%d has no fit checkpoint to continue from (uploaded and pipeline-built models cannot be refined); submit a fresh fit", e.Name, e.Version)
 		return
 	}
-	idemKey, ok := idempotencyKey(w, r)
-	if !ok {
-		return
-	}
-	j, existing, err := s.jobs.submitRefine(r.Context(), req, obs.RequestID(r.Context()), idemKey)
-	if err != nil {
-		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	if existing {
-		if j.kind != JobKindRefine {
-			writeErr(w, http.StatusConflict,
-				"idempotency key %q was used by %s job %s", idemKey, j.kind, j.id)
-			return
-		}
-		w.Header().Set(idemReplayedHeader, "true")
-		writeJSON(w, http.StatusAccepted, RefineResponse{JobID: j.id, State: j.status().State})
-		return
-	}
-	s.metrics.countRefineSubmitted()
-	obs.Log(r.Context()).Info("refine job submitted",
-		"job_id", j.id, "name", e.Name, "parent_version", e.Version, "queue_depth", s.jobs.depth())
-	writeJSON(w, http.StatusAccepted, RefineResponse{JobID: j.id, State: JobPending})
-}
-
-// refineDeadline resolves the effective refit deadline: the server-wide fit
-// cap, tightened by the request's own timeout when smaller.
-func (s *Server) refineDeadline(req *RefineRequest) time.Duration {
-	d := s.cfg.FitTimeout
-	if req.TimeoutSeconds > 0 {
-		if r := time.Duration(req.TimeoutSeconds * float64(time.Second)); r < d {
-			d = r
-		}
-	}
-	return d
+	s.submitJob(w, r, &req, "name", e.Name, "parent_version", e.Version)
 }
 
 // warmContinuable reports whether the checkpointed engine state supports
@@ -125,113 +86,33 @@ func warmContinuable(engineSolver string) bool {
 	return false
 }
 
-// runRefine executes one incremental-refit job end to end: load the parent
-// version and its checkpoint, splice the new samples onto the checkpointed
-// training set (refit.append), continue the cross-validated fit warm where
-// the solver supports it (refit.resume), and publish a new registry version
-// only when the refit's CV error strictly improves on the parent's. Like
-// runFit it must never let a failure escape the worker.
-func (s *Server) runRefine(j *job) {
-	if !j.begin() {
-		return // canceled while queued
-	}
-	s.jobs.noteStarted(j)
-	queueWait := j.started.Sub(j.submitted)
-	s.metrics.observeQueueWait(queueWait)
-	req := j.refineReq
-	logger := s.log.With("job_id", j.id, "request_id", j.requestID)
-	logger.Info("refine job started",
-		"model", req.Name, "recovery_attempt", j.attempt,
-		"queue_wait_ms", float64(queueWait.Microseconds())/1000.0)
-	ctx, cancelCtx := context.WithTimeout(j.ctx, s.refineDeadline(req))
-	defer cancelCtx()
-	// Re-attach the job span: j.ctx is rooted in Background (the job
-	// outlives its submitting request).
-	ctx = trace.ContextWithSpan(ctx, j.span)
-	_, qwSpan := trace.Start(ctx, "queue.wait", trace.WithStart(j.submitted))
-	qwSpan.End()
-	ctx, refineSpan := trace.Start(ctx, "refine",
-		trace.WithAttrs(trace.String("model", req.Name)))
-	spans := trace.NewSpanSet(ctx)
-	ctx = core.WithFitObserver(ctx, func(ev core.FitEvent) {
-		j.addEvent(ev)
-		spans.Observe(ev.Stage, trace.Int("iter", ev.Iter),
-			trace.Int("active", ev.Active), trace.Float("residual", ev.Residual))
-	})
-	ctx = core.WithFitWorkers(ctx, s.cfg.FitParallel)
-
-	finish := func(state, errMsg string, result *RefineResult) {
-		spans.Close()
-		if state != JobDone {
-			refineSpan.SetStatus(trace.StatusError, errMsg)
-		}
-		refineSpan.End()
-		if !j.finishRefine(state, errMsg, result) {
-			return
-		}
-		dur := j.finished.Sub(j.started)
-		if state == JobDone {
-			logger.Info("refine job done", "outcome", result.Outcome,
-				"duration_ms", float64(dur.Microseconds())/1000.0)
-		} else {
-			logger.Warn("refine job ended", "state", state, "error", errMsg,
-				"duration_ms", float64(dur.Microseconds())/1000.0)
-		}
-	}
-	fail := func(err error) {
-		switch {
-		case errors.Is(err, context.Canceled):
-			finish(JobCanceled, err.Error(), nil)
-		case errors.Is(err, context.DeadlineExceeded):
-			finish(JobTimedOut, fmt.Sprintf("deadline %s exceeded: %v", s.refineDeadline(req), err), nil)
-		default:
-			finish(JobFailed, err.Error(), nil)
-		}
-	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.metrics.countPanic()
-			logger.Error("refine panicked", "panic", rec, "stack", string(debug.Stack()))
-			finish(JobFailed, fmt.Sprintf("internal: refine panicked: %v (incident logged)", rec), nil)
-		}
-	}()
-
-	// Chaos hook: injected panics exercise the recovery above, injected
-	// delays stall the job against its deadline — and a crash here leaves a
-	// non-terminal journal trail for replay to re-run.
-	if err := faultinject.FireCtx(ctx, "server.refine"); err != nil {
-		fail(err)
-		return
-	}
-	if err := ctx.Err(); err != nil {
-		fail(err)
-		return
-	}
-
+// run executes a refine job's body: load the parent version and its
+// checkpoint, splice the new samples onto the checkpointed training set
+// (refit.append), continue the cross-validated fit warm where the solver
+// supports it (refit.resume), and publish a new registry version only when
+// the refit's CV error strictly improves on the parent's.
+func (req *RefineRequest) run(ctx context.Context, r *jobRun) (jobResult, error) {
+	s, logger, refineSpan := r.s, r.log, r.span
 	// The parent is re-resolved in the worker (not captured at submit): a
 	// journal-replayed refine continues from whatever the latest version is
 	// when it finally runs.
 	entry, ok := s.registry.Get(req.Name)
 	if !ok {
-		fail(fmt.Errorf("unknown model %q", req.Name))
-		return
+		return nil, fmt.Errorf("unknown model %q", req.Name)
 	}
 	parentCK, ok := s.registry.Checkpoint(entry.Name, entry.Version)
 	if !ok {
-		fail(fmt.Errorf("model %s@v%d has no fit checkpoint to continue from; submit a fresh fit instead", entry.Name, entry.Version))
-		return
+		return nil, fmt.Errorf("model %s@v%d has no fit checkpoint to continue from; submit a fresh fit instead", entry.Name, entry.Version)
 	}
 
 	newPts, newVals, _, err := fitDataset(&FitRequest{
 		CSV: req.CSV, Points: req.Points, Values: req.Values, Metric: parentCK.Metric,
 	})
 	if err != nil {
-		fail(fmt.Errorf("dataset: %w", err))
-		return
+		return nil, fmt.Errorf("dataset: %w", err)
 	}
 	if dim := len(parentCK.Points[0]); len(newPts[0]) != dim {
-		fail(fmt.Errorf("new samples have dimension %d, parent fit used %d", len(newPts[0]), dim))
-		return
+		return nil, fmt.Errorf("new samples have dimension %d, parent fit used %d", len(newPts[0]), dim)
 	}
 
 	// refit.append: splice the new rows onto the checkpointed training set.
@@ -247,8 +128,7 @@ func (s *Server) runRefine(j *job) {
 
 	b, err := entry.Basis()
 	if err != nil {
-		fail(fmt.Errorf("rebuild basis: %w", err))
-		return
+		return nil, fmt.Errorf("rebuild basis: %w", err)
 	}
 	fitterName := parentCK.Fitter
 	if fitterName == "" {
@@ -256,8 +136,7 @@ func (s *Server) runRefine(j *job) {
 	}
 	fitter, err := core.SolverByName(fitterName)
 	if err != nil {
-		fail(err)
-		return
+		return nil, err
 	}
 	folds := req.Folds
 	if folds == 0 {
@@ -298,11 +177,10 @@ func (s *Server) runRefine(j *job) {
 	fitDur := time.Since(start)
 	resumeSpan.EndErr(err)
 	if err != nil {
-		fail(fmt.Errorf("refit: %w", err))
-		return
+		return nil, fmt.Errorf("refit: %w", err)
 	}
 	s.metrics.observeRefineFit(fitDur, warm)
-	s.metrics.observeFit(fitDur, finalIterations(j), j.traceID)
+	s.metrics.observeFit(fitDur, finalIterations(r.j), r.j.traceID)
 
 	parentErr := entry.Envelope.Prov.CVError
 	newErr := cv.ErrCurve[cv.BestLambda-1]
@@ -324,8 +202,7 @@ func (s *Server) runRefine(j *job) {
 		result.Model = modelInfo(entry)
 		logger.Info("refine rejected: no CV improvement", "model", entry.Name,
 			"parent_version", entry.Version, "parent_cv_error", parentErr, "cv_error", newErr)
-		finish(JobDone, "", result)
-		return
+		return result, nil
 	}
 
 	env := &core.Envelope{
@@ -346,8 +223,7 @@ func (s *Server) runRefine(j *job) {
 	}
 	newEntry, err := s.registry.Put(entry.Name, env)
 	if err != nil {
-		fail(err)
-		return
+		return nil, err
 	}
 	s.metrics.countRefit(RefineImproved)
 	refineSpan.SetAttr("outcome", RefineImproved)
@@ -355,7 +231,7 @@ func (s *Server) runRefine(j *job) {
 	result.Model = modelInfo(newEntry)
 	result.CheckpointBytes = s.persistCheckpoint(logger, newEntry, plan.CK,
 		fitterName, folds, maxLambda, parentCK.Metric, points, values)
-	finish(JobDone, "", result)
+	return result, nil
 }
 
 // persistCheckpoint stores the captured engine state beside a just-published

@@ -1,9 +1,10 @@
 // Package server implements the rsmd HTTP serving layer: a JSON API over a
 // model registry that turns fitted sparse response-surface models into a
-// long-lived, concurrent service. Fits run as asynchronous jobs on a
-// bounded worker pool; predictions are batched and fanned across workers
-// that reuse per-worker basis-evaluation scratch; yield queries reuse the
-// internal/yield virtual Monte Carlo machinery. Everything is stdlib-only.
+// long-lived, concurrent service. Fits, netlist pipelines and refines run
+// as asynchronous jobs on one bounded worker pool; predictions are batched
+// and fanned across workers that reuse per-worker basis-evaluation scratch;
+// yield queries reuse the internal/yield virtual Monte Carlo machinery.
+// Everything is stdlib-only.
 //
 // Endpoints:
 //
@@ -14,8 +15,8 @@
 //	POST /v1/models/{name}/yield     parametric yield + quantiles
 //	POST /v1/models/{name}/refine    incremental refit on appended samples
 //	POST   /v1/fit                     submit an async fit job
-//	GET    /v1/jobs/{id}               poll a fit job
-//	DELETE /v1/jobs/{id}               cancel a fit job
+//	GET    /v1/jobs/{id}               poll a job of any kind
+//	DELETE /v1/jobs/{id}               cancel a job of any kind
 //	POST   /v1/pipelines               submit a netlist-in, model-out pipeline
 //	GET    /v1/pipelines/{id}          poll a pipeline job (stage timeline)
 //	DELETE /v1/pipelines/{id}          cancel a pipeline job
@@ -26,13 +27,13 @@
 //
 // Robustness: every route runs under a request deadline with panic
 // isolation (recovered panics become 500s and count as incidents in
-// /metrics), fit jobs carry per-job deadlines and cooperative cancellation
+// /metrics), jobs carry per-job deadlines and cooperative cancellation
 // down into the solver inner loops, and predict/yield traffic is shed with
-// Retry-After when the fit queue saturates.
+// Retry-After when the job queue saturates.
 //
 // Observability: every request is assigned (or keeps) an X-Request-Id,
-// echoed on the response and stamped on every log line; fit jobs inherit
-// the submitting request's ID and expose a per-iteration solver telemetry
+// echoed on the response and stamped on every log line; jobs inherit the
+// submitting request's ID and expose a per-iteration solver telemetry
 // timeline through GET /v1/jobs/{id}.
 package server
 
@@ -736,35 +737,43 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "no dataset: provide csv or points+values")
 		return
 	}
+	s.submitJob(w, r, &req, "solver", req.Solver, "name", req.Name)
+}
+
+// submitJob is the shared tail of the job submit handlers: it enqueues req
+// under the request's Idempotency-Key and answers 202 with the new job, or
+// 503 + Retry-After when the queue or journal refuses it. A key seen before
+// gets the original job back (202, Idempotency-Replayed) instead of a
+// duplicate — or 409 when that job is of another kind. attrs are the kind's
+// attributes on the "job submitted" log line.
+func (s *Server) submitJob(w http.ResponseWriter, r *http.Request, req jobRequest, attrs ...any) {
 	idemKey, ok := idempotencyKey(w, r)
 	if !ok {
 		return
 	}
-	j, existing, err := s.jobs.submit(r.Context(), req, obs.RequestID(r.Context()), idemKey)
+	j, existing, err := s.jobs.enqueue(r.Context(), req, obs.RequestID(r.Context()), idemKey)
 	if err != nil {
 		w.Header().Set("Retry-After", "1")
 		writeErr(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
 	if existing {
-		// Idempotency-Key dedup hit: a retried submit (same key) gets the
-		// original job back instead of enqueuing a duplicate fit.
-		if j.kind != JobKindFit {
+		if j.kind != req.kind() {
 			writeErr(w, http.StatusConflict,
 				"idempotency key %q was used by %s job %s", idemKey, j.kind, j.id)
 			return
 		}
 		w.Header().Set(idemReplayedHeader, "true")
-		writeJSON(w, http.StatusAccepted, FitResponse{JobID: j.id, State: j.status().State})
+		writeJSON(w, http.StatusAccepted, JobResponse{JobID: j.id, State: j.status().State})
 		return
 	}
-	s.metrics.countJobSubmitted()
-	obs.Log(r.Context()).Info("fit job submitted",
-		"job_id", j.id, "solver", req.Solver, "name", req.Name, "queue_depth", s.jobs.depth())
-	writeJSON(w, http.StatusAccepted, FitResponse{JobID: j.id, State: JobPending})
+	s.metrics.countSubmitted(j.kind)
+	obs.Log(r.Context()).Info(j.kind+" job submitted", append(append([]any{"job_id", j.id}, attrs...),
+		"queue_depth", s.jobs.depth())...)
+	writeJSON(w, http.StatusAccepted, JobResponse{JobID: j.id, State: JobPending})
 }
 
-// handleJob reports a fit job's status.
+// handleJob reports the status of a job of any kind.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if s.redirectJob(w, r, id) {
@@ -778,7 +787,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.status())
 }
 
-// handleJobCancel cancels a fit job. A pending job is canceled immediately;
+// handleJobCancel cancels a job of any kind. A pending job is canceled immediately;
 // a running one is interrupted through its context and reaches state
 // canceled when the solver's next cooperative check fires. Canceling a job
 // that already finished is a no-op that returns its terminal status.

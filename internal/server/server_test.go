@@ -309,13 +309,13 @@ func TestFitJobFailureIsReported(t *testing.T) {
 
 func TestJobQueueBackpressure(t *testing.T) {
 	q := newJobQueue(2, nil, nil, nil) // no workers draining
-	if _, _, err := q.submit(context.Background(), FitRequest{Name: "a"}, "", ""); err != nil {
+	if _, _, err := q.enqueue(context.Background(), &FitRequest{Name: "a"}, "", ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := q.submit(context.Background(), FitRequest{Name: "b"}, "", ""); err != nil {
+	if _, _, err := q.enqueue(context.Background(), &FitRequest{Name: "b"}, "", ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := q.submit(context.Background(), FitRequest{Name: "c"}, "", ""); err == nil {
+	if _, _, err := q.enqueue(context.Background(), &FitRequest{Name: "c"}, "", ""); err == nil {
 		t.Fatal("third submit should hit the queue bound")
 	}
 	q.startWorkers(1, func(j *job) {
@@ -333,7 +333,7 @@ func TestJobQueueBackpressure(t *testing.T) {
 			t.Fatalf("%s state %s", id, j.status().State)
 		}
 	}
-	if _, _, err := q.submit(context.Background(), FitRequest{Name: "d"}, "", ""); err == nil {
+	if _, _, err := q.enqueue(context.Background(), &FitRequest{Name: "d"}, "", ""); err == nil {
 		t.Fatal("submit after close should fail")
 	}
 }
