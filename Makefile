@@ -5,7 +5,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS = -X repro/internal/obs.Version=$(VERSION)
 
-.PHONY: all build test race vet fmt-check bench bench-smoke bench-check chaos crash-smoke obs trace-smoke fuzz-smoke pipeline-smoke refit-smoke cluster-smoke ci
+.PHONY: all build test race vet fmt-check bench bench-smoke bench-check chaos crash-smoke obs trace-smoke fuzz-smoke pipeline-smoke refit-smoke cluster-smoke paper-check ci
 
 all: build
 
@@ -86,12 +86,15 @@ trace-smoke:
 	$(GO) test -race -run 'TestTracing|TestHTTPRequestTraced|TestTraceList|TestFitJobTrace|TestPipelineJobTrace|TestJobEvents|TestFitExemplar' ./internal/server/
 	$(GO) test -race -run 'TestClientWatchJob' ./rsm/
 
-# Observability smoke check: boots the serving stack in-process, drives a
-# fit + predictions through it, scrapes /metrics in Prometheus text format
-# and validates the exposition (cumulative le buckets, TYPE metadata, +Inf
-# terminators) — failing on any malformed output.
+# Observability smoke: drives an upload, predictions, a fit and a refine
+# through the serving stack, scrapes /metrics in Prometheus text format and
+# validates the exposition (cumulative le buckets, TYPE metadata, +Inf
+# terminators), every metric family and the samples the traffic implies,
+# then the fit-histogram exemplar, the trace list and the SSE replay; and
+# the rsmd_cluster_* families against a live 2-node ring
+# (internal/server obs_test.go and cluster_test.go). Part of make ci.
 obs:
-	$(GO) run ./cmd/obscheck
+	$(GO) test -run 'TestMetricsPrometheusExposition|TestClusterMetricsExposition' ./internal/server/
 
 # End-to-end pipeline smoke: the netlist-in, model-out acceptance loop
 # (POST /v1/pipelines with the committed rc_lowpass deck + spec through to
@@ -112,14 +115,35 @@ refit-smoke:
 
 # Horizontal-serving smoke: the hash-ring property tests, the multi-node
 # routing/replication/read-your-writes/chaos suites (in-process 3-node
-# harness + the daemon's flag surface), the client redirect regressions —
-# all under the race detector — then a short rsmload run that spawns a
-# real 3-process ring, kills a shard under load, and fails on any error
-# from a live shard's models or any accepted job left without a terminal
-# state. Part of make ci.
+# harness + the daemon's flag surface), the client redirect regressions
+# and TestDaemonClusterShardKill — a real 3-process rsmd ring with one
+# shard SIGKILLed under load, failing on any error from a live shard's
+# models, any accepted job left without a terminal state, or a canary
+# fit the journal does not replay to done — all under the race detector.
+# Part of make ci.
 cluster-smoke:
 	$(GO) test -race -run 'TestRing|TestPeer|TestCluster|TestChaosCluster|TestDaemonCluster' ./internal/cluster/ ./internal/server/ ./cmd/rsmd/
 	$(GO) test -race -run 'TestClientFollowsClusterRedirects|TestClientClusterPredictAtLeastAndDelete' ./rsm/
-	$(GO) run ./cmd/rsmload -spawn 3 -duration 2s -conc 4 -rate 20 -models 9 -chaos -baseline=false -out /dev/null
 
-ci: vet fmt-check build test race chaos crash-smoke obs trace-smoke bench-smoke fuzz-smoke pipeline-smoke refit-smoke cluster-smoke
+# Paper regression gate: re-runs every table and figure of the paper's
+# evaluation (cmd/paperbench -exp all, about two minutes on a 2-vCPU host)
+# and compares the output with the committed paperbench_output.txt cell by
+# cell, after collapsing runs of spaces: column widths move with the timing
+# cells, so a byte diff would fail spuriously. Rows that are times or are
+# derived from times are skipped (simulation, fitting, total and projected
+# cost, both OMP speedup lines); every error, K and λ cell must match. A
+# change that moves a cell on purpose re-records the file. Part of make ci,
+# not of go test.
+PAPER_TIME_ROWS = ^(simulation cost|fitting cost|total cost|projected total|OMP speedup)
+paper-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	cells() { grep -Ev '$(PAPER_TIME_ROWS)' "$$1" | tr -s ' ' | sed 's/ $$//'; } && \
+	$(GO) run ./cmd/paperbench -exp all > "$$tmp/run.txt" && \
+	cells paperbench_output.txt > "$$tmp/want" && cells "$$tmp/run.txt" > "$$tmp/got" && \
+	if diff "$$tmp/want" "$$tmp/got"; then \
+		echo "paper-check: every non-time cell matches paperbench_output.txt"; \
+	else \
+		echo "paper-check: cells differ from paperbench_output.txt (< committed, > this run)"; exit 1; \
+	fi
+
+ci: vet fmt-check build test race chaos crash-smoke obs trace-smoke bench-smoke fuzz-smoke pipeline-smoke refit-smoke cluster-smoke paper-check

@@ -13,8 +13,10 @@
 // genuinely dominates total cost.
 //
 // The default scale keeps every paper comparison meaningful while running in
-// minutes; -scale full uses the paper's problem sizes (hours of CPU). See
-// EXPERIMENTS.md for the recorded results and the paper-vs-measured notes.
+// minutes; -scale full uses the paper's problem sizes (Table IV then runs in
+// about a minute and a half; the quadratic tables' LS baseline at K = 25 000
+// needs a ≈4 GB dense design). See EXPERIMENTS.md for the recorded results
+// and the paper-vs-measured notes.
 package main
 
 import (

@@ -220,7 +220,9 @@ func DefaultQuadConfig() QuadConfig {
 	}
 }
 
-// PaperQuadConfig uses the paper's sizes (hours of CPU).
+// PaperQuadConfig uses the paper's sizes. Its sparse fits (K = 1 000) are
+// about the size of the full-scale Table IV's, which run in seconds, but its
+// LS baseline at K = 25 000 over M = 20 301 needs a ≈4 GB dense design.
 func PaperQuadConfig() QuadConfig {
 	return QuadConfig{
 		TopP: 200, ScreenK: 600, LSK: 25000, SparseK: 1000,

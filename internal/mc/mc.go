@@ -78,8 +78,13 @@ type Options struct {
 	Halton bool
 }
 
-// Sample draws n points and evaluates sim at each. The draw is deterministic
-// in seed; evaluation order does not affect the result.
+// Sample draws n points and evaluates sim at each. The points are
+// deterministic in seed and values[k] is always sim's answer at points[k],
+// but the workers evaluate in scheduling order, so the values are
+// deterministic only when sim is a pure function of its input. A
+// simulator with internal state is not: circuit.Synthetic draws its
+// observation noise from one shared, mutex-guarded RNG, so which noise
+// lands on which point varies run to run (see ROADMAP.md item 9).
 func Sample(sim circuit.Simulator, n int, seed int64, opt Options) (*Dataset, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("mc: sample count %d must be positive", n)

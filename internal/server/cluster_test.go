@@ -8,12 +8,14 @@ import (
 	"net"
 	"net/http"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 	"repro/internal/registry"
 )
 
@@ -254,6 +256,48 @@ func TestClusterRoutingForwardsToOwner(t *testing.T) {
 	}
 	if n := metricInt(t, h.nodes[2].url, "cluster", "forwards", "predict"); n < 2 {
 		t.Errorf("node 2 predict forwards = %d, want >= 2", n)
+	}
+}
+
+// TestClusterMetricsExposition validates the rsmd_cluster_* exposition
+// against a live 2-node ring: one forwarded upload and predict plus one
+// replication round must show up as the ring topology, the forwards, the
+// pull counters and per-peer health in node 0's scrape.
+func TestClusterMetricsExposition(t *testing.T) {
+	h := newClusterHarness(t, 2, false, Config{FitWorkers: 1})
+	name := h.modelOwnedBy(1, "obscluster")
+	uploadModel(t, h.nodes[0].url, name, 2)
+	resp := post(t, h.nodes[0].url+"/v1/models/"+name+"/predict", `{"points":[[0.1,-0.2]]}`)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("forwarded predict: HTTP %d", resp.StatusCode)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := h.nodes[0].cl.SyncOnce(ctx); err != nil {
+		t.Fatalf("sync round: %v", err)
+	}
+
+	body := scrapeText(t, h.nodes[0].url)
+	if err := obs.ValidateExposition(strings.NewReader(body)); err != nil {
+		t.Fatalf("cluster exposition invalid: %v", err)
+	}
+	for _, pat := range []string{
+		`rsmd_cluster_enabled 1`,
+		`rsmd_cluster_node_info\{node="` + h.nodes[0].cl.SelfName() + `"\} 1`,
+		`rsmd_cluster_forwards_total\{kind="upload"\} 1`,
+		`rsmd_cluster_forwards_total\{kind="predict"\} 1`,
+		`rsmd_cluster_forward_errors_total 0`,
+		`rsmd_cluster_syncs_total 1`,
+		`rsmd_cluster_versions_pulled_total 1`,
+		`rsmd_cluster_checkpoints_pulled_total \d+`,
+		`rsmd_cluster_tombstones_applied_total \d+`,
+		`rsmd_cluster_peer_up\{peer="[^"]+"\} 1`,
+		`rsmd_cluster_peer_lag_versions\{peer="[^"]+"\} 0`,
+	} {
+		if !regexp.MustCompile(pat).MatchString(body) {
+			t.Errorf("cluster exposition: no match for %s\n%s", pat, grepLines(body, "rsmd_cluster_"))
+		}
 	}
 }
 

@@ -147,14 +147,36 @@ func TestJobCarriesRequestIDAndTimeline(t *testing.T) {
 
 // TestMetricsPrometheusExposition: the Prometheus view must be selected by
 // both the format parameter and Accept negotiation, carry the exposition
-// content type, validate cleanly, and include the serving metric families.
+// content type, validate cleanly, and reflect the traffic driven through
+// it — an upload, predictions, a fit and a refine of the fitted model —
+// family by family and sample by sample. The same traffic then closes the
+// tracing read side: the fit-histogram exemplar, the trace list and the
+// job's SSE replay.
 func TestMetricsPrometheusExposition(t *testing.T) {
 	_, hs := newTestServer(t, Config{FitWorkers: 1})
 	uploadModel(t, hs.URL, "lin", 3)
 	post(t, hs.URL+"/v1/models/lin/predict", `{"points":[[1,0,0]]}`).Body.Close()
 	jobID := submitChaosFit(t, hs.URL, "obsprom")
-	if st := waitTerminal(t, hs.URL, jobID, 30*time.Second); st.State != JobDone {
-		t.Fatalf("fit state %s (%s), want done", st.State, st.Error)
+	fit := waitTerminal(t, hs.URL, jobID, 30*time.Second)
+	if fit.State != JobDone {
+		t.Fatalf("fit state %s (%s), want done", fit.State, fit.Error)
+	}
+	if len(fit.Events) == 0 {
+		t.Fatal("completed fit job has no telemetry events")
+	}
+	resp := post(t, hs.URL+"/v1/models/obsprom/predict", `{"points":[[0,0],[0.5,-0.5]]}`)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("predict: HTTP %d", resp.StatusCode)
+	}
+	// A refine populates the incremental-refit families: refine job
+	// counters, the publish-gate outcome, the warm/cold fit histogram and
+	// the per-model checkpoint size gauge.
+	refID := submitRefineReq(t, hs.URL, "obsprom",
+		[][]float64{{0.4, 0.1}, {-0.2, 0.3}, {0.6, -0.1}, {-0.4, -0.3}}, []float64{2.5, 1.5, 3.5, 0.5})
+	refine := waitTerminal(t, hs.URL, refID, 30*time.Second)
+	if refine.State != JobDone || refine.Refine == nil || refine.Refine.Outcome == "" {
+		t.Fatalf("refine state %s (%s), want done with an outcome", refine.State, refine.Error)
 	}
 
 	fetch := func(url string, accept string) (string, string) {
@@ -182,21 +204,60 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		t.Fatalf("exposition invalid: %v\n%s", err, body)
 	}
 	for _, family := range []string{
-		"rsmd_http_requests_total", "rsmd_http_request_duration_seconds_bucket",
-		"rsmd_predictions_total", "rsmd_jobs_total", "rsmd_fit_duration_seconds_bucket",
-		"rsmd_fit_iterations_bucket", "rsmd_job_queue_depth", "rsmd_job_queue_wait_seconds_bucket",
-		"rsmd_goroutines", "rsmd_heap_alloc_bytes", "rsmd_gc_pause_seconds_total",
+		"rsmd_uptime_seconds", "rsmd_http_requests_total",
+		"rsmd_http_request_duration_seconds_bucket", "rsmd_predictions_total",
+		"rsmd_jobs_total", "rsmd_fit_duration_seconds_bucket", "rsmd_fit_iterations_bucket",
+		"rsmd_job_queue_depth", "rsmd_job_queue_wait_seconds_bucket",
+		"rsmd_goroutines", "rsmd_heap_alloc_bytes", "rsmd_gc_cycles_total", "rsmd_gc_pause_seconds_total",
+		"rsmd_refines_submitted_total", "rsmd_refits_total",
+		"rsmd_refine_fit_seconds_bucket", "rsmd_checkpoint_bytes",
+		"rsmd_cluster_enabled", "rsmd_cluster_forwards_total",
+		"rsmd_cluster_forward_errors_total", "rsmd_cluster_redirects_total",
+		"rsmd_cluster_replica_reads_total",
 	} {
 		if !strings.Contains(body, family) {
 			t.Errorf("exposition missing %s", family)
 		}
 	}
-	// The completed fit must have produced samples in the fit histograms.
-	if !regexp.MustCompile(`rsmd_fit_duration_seconds_count [1-9]`).MatchString(body) {
-		t.Error("rsmd_fit_duration_seconds_count is zero after a completed fit")
+	for _, pat := range []string{
+		`rsmd_cluster_enabled 0`,
+		`rsmd_cluster_forwards_total\{kind="predict"\} 0`,
+		`rsmd_jobs_total\{state="done"\} 1`,
+		`rsmd_fit_duration_seconds_count [1-9]`,
+		`rsmd_job_queue_wait_seconds_count [1-9]`,
+		`rsmd_predictions_total\{model="obsprom"\} 2`,
+		`rsmd_build_info\{[^}]*version="[^"]+"[^}]*\} 1`,
+		`rsmd_traces_kept_total [1-9]`,
+		`rsmd_refine_jobs_total\{state="done"\} 1`,
+		`rsmd_refits_total\{outcome="(improved|rejected)"\} 1`,
+		`rsmd_refine_fit_seconds_count\{mode="warm"\} 1`,
+		`rsmd_checkpoint_bytes\{model="obsprom"\} [1-9]`,
+	} {
+		if !regexp.MustCompile(pat).MatchString(body) {
+			t.Errorf("exposition does not reflect the driven traffic: no match for %s", pat)
+		}
 	}
-	if !regexp.MustCompile(`rsmd_job_queue_wait_seconds_count [1-9]`).MatchString(body) {
-		t.Error("rsmd_job_queue_wait_seconds_count is zero after a completed fit")
+
+	// The exemplar loop: fit-histogram bucket → trace_id → stored trace.
+	// The histogram is fed by the fit and the refine, so it may point at
+	// either. (The fit trace's depth is TestFitJobTraceDepth's.)
+	if m := regexp.MustCompile(`rsmd_fit_duration_seconds_bucket\{[^}]*\} \d+ # \{trace_id="([0-9a-f]+)"\}`).FindStringSubmatch(body); m == nil {
+		t.Error("no exemplar on rsmd_fit_duration_seconds_bucket")
+	} else if tr := getJSON[TraceResponse](t, hs.URL+"/v1/traces/"+m[1], http.StatusOK); tr.TraceID != fit.TraceID && tr.TraceID != refine.TraceID {
+		t.Errorf("exemplar resolves to trace %s, want fit %s or refine %s", tr.TraceID, fit.TraceID, refine.TraceID)
+	}
+	// The trace list holds the job trace (pinned, so sampling never drops it).
+	listed := false
+	for _, s := range getJSON[TraceListResponse](t, hs.URL+"/v1/traces", http.StatusOK).Traces {
+		listed = listed || s.TraceID == fit.TraceID
+	}
+	if !listed {
+		t.Errorf("fit trace %s missing from /v1/traces", fit.TraceID)
+	}
+	// The SSE replay of the terminal job ends in its done state.
+	sse, ctype := fetch(hs.URL+"/v1/jobs/"+jobID+"/events?stream=1", "")
+	if ctype != "text/event-stream" || !strings.Contains(sse, `"state":"done"`) {
+		t.Errorf("SSE replay (content type %q) carries no terminal done event:\n%s", ctype, sse)
 	}
 
 	// Accept negotiation: a Prometheus scraper's text/plain preference picks
