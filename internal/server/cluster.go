@@ -82,7 +82,7 @@ func (s *Server) routeRead(w http.ResponseWriter, r *http.Request, kind, model s
 	}
 	if min, err := strconv.Atoi(r.Header.Get(minVersionHeader)); err == nil && min >= 1 {
 		if e, ok := s.registry.Get(model); ok && e.Version >= min {
-			s.metrics.countReplicaRead()
+			s.metrics.add(replicaReads, 1)
 			return false
 		}
 	}
@@ -98,7 +98,7 @@ func (s *Server) routeRead(w http.ResponseWriter, r *http.Request, kind, model s
 func (s *Server) forward(w http.ResponseWriter, r *http.Request, kind, node, base string, raw []byte) {
 	p := s.cluster.Peer(node)
 	if p != nil && !p.Healthy() {
-		s.metrics.countForwardError()
+		s.metrics.add(forwardErrors, 1)
 		w.Header().Set("Retry-After", retryAfterSeconds(p.RetryAfter()))
 		writeErr(w, http.StatusServiceUnavailable, "shard %s owning this model is unavailable (backing off)", node)
 		return
@@ -128,7 +128,7 @@ func (s *Server) forward(w http.ResponseWriter, r *http.Request, kind, node, bas
 		if p != nil {
 			p.MarkFailure()
 		}
-		s.metrics.countForwardError()
+		s.metrics.add(forwardErrors, 1)
 		w.Header().Set("Retry-After", "1")
 		writeErr(w, http.StatusServiceUnavailable, "shard %s unreachable: %v", node, err)
 		return
@@ -182,7 +182,7 @@ func (s *Server) redirectJob(w http.ResponseWriter, r *http.Request, id string) 
 	if !known {
 		return false
 	}
-	s.metrics.countRedirect()
+	s.metrics.add(redirects, 1)
 	w.Header().Set("Location", base+r.URL.RequestURI())
 	writeJSON(w, http.StatusTemporaryRedirect,
 		ErrorResponse{Error: fmt.Sprintf("job %s lives on shard %s", id, node)})
@@ -235,18 +235,4 @@ func (s *Server) handleModelDelete(w http.ResponseWriter, r *http.Request) {
 		s.predCache.invalidate(name)
 	}
 	writeJSON(w, http.StatusOK, DeleteResponse{Name: name, Deleted: true})
-}
-
-// clusterExposition threads the cluster view into the /metrics render at
-// scrape time; nil means the node is unclustered.
-type clusterExposition struct {
-	node  string
-	stats cluster.Stats
-}
-
-func (s *Server) clusterStats() *clusterExposition {
-	if s.cluster == nil {
-		return nil
-	}
-	return &clusterExposition{node: s.nodeLabel(), stats: s.cluster.Stats()}
 }

@@ -698,7 +698,7 @@ func (s *Server) runJob(j *job) {
 	}
 	s.jobs.noteStarted(j)
 	queueWait := j.started.Sub(j.submitted)
-	s.metrics.observeQueueWait(queueWait)
+	s.metrics.queueWait.Observe(queueWait.Seconds())
 	logger := s.log.With("job_id", j.id, "request_id", j.requestID)
 	logger.Info(j.kind+" job started", append(j.req.appendStartAttrs(nil),
 		"recovery_attempt", j.attempt,
@@ -737,7 +737,7 @@ func (s *Server) runJob(j *job) {
 	}
 	defer func() {
 		if rec := recover(); rec != nil {
-			s.metrics.countPanic()
+			s.metrics.add(panicsRecovered, 1)
 			logger.Error(j.kind+" panicked", "panic", rec, "stack", string(debug.Stack()))
 			finish(JobFailed, fmt.Sprintf("internal: %s panicked: %v (incident logged)", j.kind, rec), nil)
 		}

@@ -26,7 +26,16 @@ var updateMetricsGolden = flag.Bool("update-metrics-golden", false,
 // jsonAdditions are flattened JSON-view lines a renderer may emit beyond
 // the golden files: series the Prometheus view already showed, now also in
 // the JSON view.
-var jsonAdditions = map[string]bool{}
+var jsonAdditions = map[string]bool{
+	"cluster.forwards.delete = 0":   true,
+	"cluster.forwards.fit = 0":      true,
+	"cluster.forwards.info = 0":     true,
+	"cluster.forwards.pipeline = 0": true,
+	"cluster.forwards.predict = 0":  true,
+	"cluster.forwards.refine = 0":   true,
+	"cluster.forwards.upload = 0":   true,
+	"cluster.forwards.yield = 0":    true,
+}
 
 // TestMetricsExpositionGolden renders both /metrics views for two fixed
 // states and compares them with the files under testdata/. The Prometheus
@@ -39,18 +48,18 @@ var jsonAdditions = map[string]bool{}
 func TestMetricsExpositionGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		state func() (*metrics, renderInputs)
+		state func() (*metrics, scrape)
 	}{
-		{"fresh", func() (*metrics, renderInputs) { return newMetrics(), renderInputs{} }},
+		{"fresh", func() (*metrics, scrape) { return newMetrics(), scrape{} }},
 		{"populated", populatedMetrics},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, in := tc.state()
 			var prom bytes.Buffer
-			if err := m.writePrometheus(&prom, in.models, in.queueDepth, in.cache, in.jnl, in.traces, in.cl); err != nil {
+			if err := m.writePrometheus(&prom, in); err != nil {
 				t.Fatal(err)
 			}
-			raw, err := json.Marshal(m.Snapshot(in.models, in.queueDepth, in.cache, in.jnl, in.traces, in.cl))
+			raw, err := json.Marshal(m.Snapshot(in))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,21 +97,11 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	}
 }
 
-// renderInputs are the values a /metrics render reads from outside the
-// metrics struct.
-type renderInputs struct {
-	models, queueDepth int
-	cache              cacheStats
-	jnl                journalStatus
-	traces             trace.Stats
-	cl                 *clusterExposition
-}
-
 // populatedMetrics builds a state in which every family has data: routes
 // with an exemplar, two models, every job kind in every terminal state,
 // both refit outcomes, checkpoints, journal tallies, forwards on some
 // kinds, every histogram, a two-peer cluster and trace stats.
-func populatedMetrics() (*metrics, renderInputs) {
+func populatedMetrics() (*metrics, scrape) {
 	m := newMetrics()
 	m.fitParallel = 3
 	ms := func(n float64) time.Duration { return time.Duration(n * float64(time.Millisecond)) }
@@ -124,47 +123,47 @@ func populatedMetrics() (*metrics, renderInputs) {
 		}
 		m.countSubmitted(k.name)
 	}
-	m.countRefit(RefineImproved)
-	m.countRefit(RefineImproved)
-	m.countRefit(RefineRejected)
+	m.add(refitsImproved, 1)
+	m.add(refitsImproved, 1)
+	m.add(refitsRejected, 1)
 	m.observeRefineFit(ms(120), true)
 	m.observeRefineFit(ms(900), false)
 	m.setCheckpointBytes("alpha", 4096)
 	m.setCheckpointBytes("beta.v2", 123)
 
-	m.pipelineActive(1)
-	m.pipelineActive(1)
-	m.pipelineActive(-1)
+	m.add(pipelinesActive, 1)
+	m.add(pipelinesActive, 1)
+	m.add(pipelinesActive, -1)
 	for i, stage := range pipeline.Stages {
 		m.observePipelineStage(stage, 0.002*float64(i+1), 40)
 	}
 	m.observeCoalesced(1, 1)
 	m.observeCoalesced(5, 300)
 
-	m.countPanic()
-	m.countShed()
-	m.countShed()
+	m.add(panicsRecovered, 1)
+	m.add(requestsShed, 1)
+	m.add(requestsShed, 1)
 	m.observeJournalAppend(ms(0.3), nil)
 	m.observeJournalAppend(ms(7), nil)
 	m.observeJournalAppend(ms(1), errors.New("no space left on device"))
-	m.countJournal(func(c *journalCounters) { c.replayed += 4 })
-	m.countJournal(func(c *journalCounters) { c.recovered += 2 })
-	m.countJournal(func(c *journalCounters) { c.quarantined++ })
+	m.add(jobsReplayed, 4)
+	m.add(jobsRecovered, 2)
+	m.add(jobsQuarantined, 1)
 
 	m.countForward("fit")
 	m.countForward("predict")
 	m.countForward("predict")
-	m.countForwardError()
-	m.countRedirect()
-	m.countRedirect()
-	m.countReplicaRead()
+	m.add(forwardErrors, 1)
+	m.add(redirects, 1)
+	m.add(redirects, 1)
+	m.add(replicaReads, 1)
 
-	m.observeQueueWait(ms(0.5))
-	m.observeQueueWait(ms(2500))
+	m.queueWait.Observe(ms(0.5).Seconds())
+	m.queueWait.Observe(ms(2500).Seconds())
 	m.observeFit(ms(80), 12, "trace-fit")
 	m.observeFit(ms(3000), 40, "")
 
-	return m, renderInputs{
+	return m, scrape{
 		models:     2,
 		queueDepth: 3,
 		cache:      cacheStats{hits: 11, misses: 4, evictions: 1, entries: 3, capacity: 64},
@@ -174,14 +173,15 @@ func populatedMetrics() (*metrics, renderInputs) {
 			SlowThresholdSeconds: 0.25, SampleRate: 0.1,
 			Kept: 19, SampledOut: 40, Evicted: 2,
 		},
-		cl: &clusterExposition{node: "s0", stats: cluster.Stats{
+		node: "s0",
+		cluster: &cluster.Stats{
 			Syncs: 30, SyncErrors: 2, VersionsPulled: 9, CheckpointsPulled: 4, TombstonesApplied: 1,
 			Peers: []cluster.Status{
 				{Name: "s1", URL: "http://10.0.0.2:8642", Healthy: true,
 					LastSync: time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)},
 				{Name: "s2", URL: "http://10.0.0.3:8642", Failures: 3, LagVersions: 5},
 			},
-		}},
+		},
 	}
 }
 

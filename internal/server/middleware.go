@@ -107,7 +107,7 @@ func (s *Server) protectWith(route string, h http.HandlerFunc, deadline bool) ht
 			if rec == http.ErrAbortHandler { //nolint:errorlint // sentinel, compared by identity
 				panic(rec) // net/http's own abort protocol; not an incident
 			}
-			s.metrics.countPanic()
+			s.metrics.add(panicsRecovered, 1)
 			obs.Log(r.Context()).Error("panic recovered",
 				"where", route, "panic", rec, "stack", string(debug.Stack()))
 			// Best-effort: if the handler already wrote a body this write
@@ -125,7 +125,7 @@ func (s *Server) shed(w http.ResponseWriter) bool {
 	if !s.jobs.saturated() {
 		return false
 	}
-	s.metrics.countShed()
+	s.metrics.add(requestsShed, 1)
 	w.Header().Set("Retry-After", "1")
 	writeErr(w, http.StatusServiceUnavailable, "overloaded: fit queue saturated, retry shortly")
 	return true

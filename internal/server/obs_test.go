@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/trace"
 )
 
 // generatedIDRE is the shape of a server-assigned request ID.
@@ -286,7 +285,7 @@ func TestMetricsJSONBucketsCumulative(t *testing.T) {
 	for _, sec := range []float64{0.0005, 0.003, 0.05, 20} {
 		m.observe("GET /x", 200, time.Duration(sec*float64(time.Second)), "")
 	}
-	snap := m.Snapshot(0, 0, cacheStats{}, journalStatus{}, trace.Stats{}, nil)
+	snap := m.Snapshot(scrape{})
 	route := snap["requests"].(map[string]any)["GET /x"].(map[string]any)
 	buckets := route["latency_buckets"].(map[string]int64)
 	if buckets["le_0.001"] != 1 || buckets["le_0.005"] != 2 || buckets["le_0.1"] != 3 {

@@ -87,8 +87,8 @@ func (s *Server) handlePipelineCancel(w http.ResponseWriter, r *http.Request) {
 // publish, with each stage recorded on the job's timeline.
 func (req *PipelineRequest) run(ctx context.Context, r *jobRun) (jobResult, error) {
 	s, j, logger := r.s, r.j, r.log
-	s.metrics.pipelineActive(+1)
-	defer s.metrics.pipelineActive(-1)
+	s.metrics.add(pipelinesActive, 1)
+	defer s.metrics.add(pipelinesActive, -1)
 	res, err := pipeline.Run(ctx, pipeline.Request{
 		Name: req.Name, Netlist: req.Netlist, Spec: req.Spec,
 	}, pipeline.Options{

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/basis"
 	"repro/internal/core"
-	"repro/internal/obs/trace"
 	"repro/internal/registry"
 )
 
@@ -192,7 +191,7 @@ func TestMicroBatchCoalescesAndDemuxes(t *testing.T) {
 	if coalesced < 2 {
 		t.Fatalf("no coalescing observed (max coalesced = %d)", coalesced)
 	}
-	snap := s.metrics.Snapshot(reg.Len(), 0, s.predCache.stats(), journalStatus{}, trace.Stats{}, nil)
+	snap := s.metrics.Snapshot(scrape{models: reg.Len(), cache: s.predCache.stats()})
 	hist := snap["predict_coalescing"].(map[string]any)["requests_per_batch"].(map[string]any)
 	if hist["count"].(int64) < 1 {
 		t.Fatalf("coalescing histogram recorded no flushes: %v", hist)
@@ -346,8 +345,9 @@ func TestPredictionCounterOnlyAfterWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	predictions := func() int64 {
-		snap := s.metrics.Snapshot(reg.Len(), 0, s.predCache.stats(), journalStatus{}, trace.Stats{}, nil)
-		return snap["predictions"].(map[string]int64)["hot"]
+		snap := s.metrics.Snapshot(scrape{models: reg.Len(), cache: s.predCache.stats()})
+		n, _ := snap["predictions"].(map[string]any)["hot"].(int64)
+		return n
 	}
 
 	req := httptest.NewRequest(http.MethodPost, "/v1/models/hot/predict",
@@ -389,7 +389,7 @@ func TestPredictCacheDisabled(t *testing.T) {
 		t.Fatalf("values %v, want [5]", pr.Values)
 	}
 	var buf bytes.Buffer
-	if err := s.metrics.writePrometheus(&buf, reg.Len(), 0, s.predCache.stats(), journalStatus{}, trace.Stats{}, nil); err != nil {
+	if err := s.metrics.writePrometheus(&buf, scrape{models: reg.Len(), cache: s.predCache.stats()}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "rsmd_predictor_cache_capacity 0") {

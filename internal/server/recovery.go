@@ -75,7 +75,7 @@ func (s *Server) recoverJournal(rp *journal.Replay) {
 		}
 		_, jobSpan := trace.Start(rctx, "replay.job",
 			trace.WithAttrs(trace.String("job_id", id), trace.String("kind", js.Kind)))
-		s.metrics.countJournal(func(c *journalCounters) { c.replayed++ })
+		s.metrics.add(jobsReplayed, 1)
 		j := &job{
 			id: js.ID, kind: js.Kind, requestID: js.RequestID, idemKey: js.IdemKey,
 			attempt: js.Attempts, submitted: js.Submitted, started: js.Started,
@@ -134,7 +134,7 @@ func (s *Server) recoverJournal(rp *journal.Replay) {
 					trace.Int("recovery_attempt", j.attempt), trace.Bool("recovered", true)))
 			j.traceID = j.span.TraceID()
 			s.jobs.restore(j, true)
-			s.metrics.countJournal(func(c *journalCounters) { c.recovered++ })
+			s.metrics.add(jobsRecovered, 1)
 			s.log.Info("recovered journaled job", "job_id", j.id, "kind", j.kind,
 				"recovery_attempt", j.attempt, "last_stage", js.LastStage, "trace_id", j.traceID)
 			jobSpan.SetAttr("decision", "recovered")
@@ -155,7 +155,7 @@ func (s *Server) quarantine(j *job, reason string) {
 	j.err = reason
 	j.cancel()
 	s.jobs.restore(j, false)
-	s.metrics.countJournal(func(c *journalCounters) { c.quarantined++ })
+	s.metrics.add(jobsQuarantined, 1)
 	s.jobs.noteTerminalRecordOnly(j, JobFailed, reason)
 	s.log.Warn("quarantined journaled job", "job_id", j.id, "kind", j.kind, "reason", reason)
 }

@@ -196,7 +196,7 @@ func (req *RefineRequest) run(ctx context.Context, r *jobRun) (jobResult, error)
 	// Publish gate: a refined version must strictly improve the parent's
 	// cross-validation error. Written so a NaN refit error also rejects.
 	if !(newErr < parentErr) {
-		s.metrics.countRefit(RefineRejected)
+		s.metrics.add(refitsRejected, 1)
 		refineSpan.SetAttr("outcome", RefineRejected)
 		result.Outcome = RefineRejected
 		result.Model = modelInfo(entry)
@@ -225,7 +225,7 @@ func (req *RefineRequest) run(ctx context.Context, r *jobRun) (jobResult, error)
 	if err != nil {
 		return nil, err
 	}
-	s.metrics.countRefit(RefineImproved)
+	s.metrics.add(refitsImproved, 1)
 	refineSpan.SetAttr("outcome", RefineImproved)
 	result.Outcome = RefineImproved
 	result.Model = modelInfo(newEntry)

@@ -809,14 +809,25 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 // cumulative le buckets) is selected by ?format=prometheus or an Accept
 // header preferring text/plain — what a Prometheus scraper sends.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	sc := scrape{
+		models:     s.registry.Len(),
+		queueDepth: s.jobs.depth(),
+		cache:      s.predCache.stats(),
+		jnl:        s.journalStatus(),
+		traces:     s.traces.Stats(),
+	}
+	if s.cluster != nil {
+		st := s.cluster.Stats()
+		sc.node, sc.cluster = s.nodeLabel(), &st
+	}
 	if wantsPrometheus(r) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := s.metrics.writePrometheus(w, s.registry.Len(), s.jobs.depth(), s.predCache.stats(), s.journalStatus(), s.traces.Stats(), s.clusterStats()); err != nil {
+		if err := s.metrics.writePrometheus(w, sc); err != nil {
 			obs.Log(r.Context()).Error("metrics exposition write failed", "error", err)
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, s.metrics.Snapshot(s.registry.Len(), s.jobs.depth(), s.predCache.stats(), s.journalStatus(), s.traces.Stats(), s.clusterStats()))
+	writeJSON(w, http.StatusOK, s.metrics.Snapshot(sc))
 }
 
 // journalStatus reads the live durable-journal state for the exposition

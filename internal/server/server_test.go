@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/basis"
 	"repro/internal/core"
-	"repro/internal/obs/trace"
 	"repro/internal/registry"
 	"repro/internal/rng"
 )
@@ -389,9 +388,9 @@ func TestConcurrentPredicts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := s.metrics.Snapshot(1, 0, s.predCache.stats(), journalStatus{}, trace.Stats{}, nil)
-	preds := snap["predictions"].(map[string]int64)
-	if preds["lin"] != clients*20*2 {
-		t.Fatalf("prediction counter %d, want %d", preds["lin"], clients*20*2)
+	snap := s.metrics.Snapshot(scrape{models: 1, cache: s.predCache.stats()})
+	lin, _ := snap["predictions"].(map[string]any)["lin"].(int64)
+	if lin != clients*20*2 {
+		t.Fatalf("prediction counter %d, want %d", lin, clients*20*2)
 	}
 }
