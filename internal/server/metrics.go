@@ -675,7 +675,7 @@ var families = []family{
 	scalar("counter", "rsmd_traces_sampled_out_total", "Sealed traces dropped by the sampling coin flip.", "traces.sampled_out_total", func(s *scrape) any { return s.traces.SampledOut }),
 	scalar("counter", "rsmd_traces_evicted_total", "Kept traces later pushed out of the ring by capacity pressure.", "traces.evicted_total", func(s *scrape) any { return s.traces.Evicted }),
 
-	scalar("gauge", "rsmd_job_queue_depth", "Fit jobs currently pending in the queue.", "queue.depth", func(s *scrape) any { return s.queueDepth }),
+	scalar("gauge", "rsmd_job_queue_depth", "Jobs of every kind (fit, pipeline, refine) currently pending in the queue.", "queue.depth", func(s *scrape) any { return s.queueDepth }),
 	// Instant pickup through the multi-minute backlog a saturated daemon
 	// accumulates.
 	histogram("rsmd_job_queue_wait_seconds", "Time jobs sat queued before a worker picked them up.", "queue.wait_seconds",
