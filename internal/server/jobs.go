@@ -803,6 +803,8 @@ func (req *FitRequest) run(ctx context.Context, r *jobRun) (jobResult, error) {
 	// can later continue this fit instead of restarting cold.
 	plan := &core.CheckpointPlan{}
 	cv, err := core.CrossValidateCtx(core.WithCheckpointPlan(ctx, plan), fitter, basis.AutoColMajor(b, points), f, req.Folds, req.MaxLambda)
+	fitDur := time.Since(start)
+	r.spans.Close()
 	if err != nil {
 		return nil, fmt.Errorf("fit: %w", err)
 	}
@@ -818,12 +820,16 @@ func (req *FitRequest) run(ctx context.Context, r *jobRun) (jobResult, error) {
 			Metric:  metric,
 		},
 	}
+	// publish: the registry write and the checkpoint beside it, after the
+	// CV stage spans and the fit duration have stopped.
+	_, pubSpan := trace.Start(ctx, "publish")
 	entry, err := s.registry.Put(req.Name, env)
 	if err != nil {
+		pubSpan.EndErr(err)
 		return nil, err
 	}
 	s.persistCheckpoint(r.log, entry, plan.CK, req.Solver, req.Folds, req.MaxLambda, metric, points, f)
-	fitDur := time.Since(start)
+	pubSpan.End()
 	s.metrics.observeFit(fitDur, finalIterations(r.j), r.j.traceID)
 	return &FitResult{
 		Model:      modelInfo(entry),

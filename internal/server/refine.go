@@ -175,6 +175,7 @@ func (req *RefineRequest) run(ctx context.Context, r *jobRun) (jobResult, error)
 	start := time.Now()
 	cv, err := core.CrossValidateCtx(rctx, fitter, basis.AutoColMajor(b, points), values, folds, maxLambda)
 	fitDur := time.Since(start)
+	r.spans.Close()
 	resumeSpan.EndErr(err)
 	if err != nil {
 		return nil, fmt.Errorf("refit: %w", err)
@@ -221,8 +222,10 @@ func (req *RefineRequest) run(ctx context.Context, r *jobRun) (jobResult, error)
 			},
 		},
 	}
+	_, pubSpan := trace.Start(ctx, "publish")
 	newEntry, err := s.registry.Put(entry.Name, env)
 	if err != nil {
+		pubSpan.EndErr(err)
 		return nil, err
 	}
 	s.metrics.add(refitsImproved, 1)
@@ -231,6 +234,7 @@ func (req *RefineRequest) run(ctx context.Context, r *jobRun) (jobResult, error)
 	result.Model = modelInfo(newEntry)
 	result.CheckpointBytes = s.persistCheckpoint(logger, newEntry, plan.CK,
 		fitterName, folds, maxLambda, parentCK.Metric, points, values)
+	pubSpan.End()
 	return result, nil
 }
 

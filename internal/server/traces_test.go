@@ -149,6 +149,52 @@ func TestFitJobTraceDepth(t *testing.T) {
 	}
 }
 
+// TestFitJobTracePublishSpan: a fit job's publish (registry write and
+// checkpoint) is its own span under the fit work span, and the final CV
+// stage span has ended before it starts — the final refit's span no
+// longer covers the publication.
+func TestFitJobTracePublishSpan(t *testing.T) {
+	_, hs := newTestServer(t, Config{FitWorkers: 1})
+	id := submitChaosFit(t, hs.URL, "published")
+	if st := waitTerminal(t, hs.URL, id, 30*time.Second); st.State != JobDone {
+		t.Fatalf("fit job state %s (%q)", st.State, st.Error)
+	}
+	full := getJSON[TraceResponse](t, hs.URL+"/v1/jobs/"+id+"/trace", http.StatusOK)
+	fit := findSpan(full.Root, "fit")
+	if fit == nil {
+		t.Fatalf("no fit span:\n%s", renderTree(full.Root, ""))
+	}
+	var final, publish *SpanNode
+	for _, c := range fit.Children {
+		switch c.Name {
+		case "final":
+			final = c
+		case "publish":
+			publish = c
+		}
+	}
+	if final == nil || publish == nil {
+		t.Fatalf("fit span lacks a final or publish child:\n%s", renderTree(full.Root, ""))
+	}
+	// Durations travel as float seconds; a microsecond absorbs the rounding.
+	finalEnd := final.Start.Add(time.Duration(final.DurationSeconds * float64(time.Second)))
+	if finalEnd.After(publish.Start.Add(time.Microsecond)) {
+		t.Errorf("final span ends at %s, after publish starts at %s", finalEnd, publish.Start)
+	}
+}
+
+func findSpan(n *SpanNode, name string) *SpanNode {
+	if n == nil || n.Name == name {
+		return n
+	}
+	for _, c := range n.Children {
+		if f := findSpan(c, name); f != nil {
+			return f
+		}
+	}
+	return nil
+}
+
 // TestPipelineJobTraceDepth is the tracing acceptance test: the committed
 // rc_lowpass pipeline yields a trace nesting request → job → stage →
 // solver trial → CV folds — at least four levels.
