@@ -5,7 +5,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS = -X repro/internal/obs.Version=$(VERSION)
 
-.PHONY: all build test race vet fmt-check bench bench-smoke bench-check chaos crash-smoke obs trace-smoke fuzz-smoke pipeline-smoke refit-smoke cluster-smoke paper-check ci
+.PHONY: all build test race vet fmt-check bench bench-smoke bench-check chaos crash-smoke obs trace-smoke fuzz-smoke pipeline-smoke refit-smoke cluster-smoke paper-check paper-check-full ci
 
 all: build
 
@@ -125,25 +125,39 @@ cluster-smoke:
 	$(GO) test -race -run 'TestRing|TestPeer|TestCluster|TestChaosCluster|TestDaemonCluster' ./internal/cluster/ ./internal/server/ ./cmd/rsmd/
 	$(GO) test -race -run 'TestClientFollowsClusterRedirects|TestClientClusterPredictAtLeastAndDelete' ./rsm/
 
-# Paper regression gate: re-runs every table and figure of the paper's
-# evaluation (cmd/paperbench -exp all, about two minutes on a 2-vCPU host)
-# and compares the output with the committed paperbench_output.txt cell by
-# cell, after collapsing runs of spaces: column widths move with the timing
-# cells, so a byte diff would fail spuriously. Rows that are times or are
-# derived from times are skipped (simulation, fitting, total and projected
-# cost, both OMP speedup lines); every error, K and λ cell must match. A
-# change that moves a cell on purpose re-records the file. Part of make ci,
-# not of go test.
+# Paper regression gates: re-run experiments of the paper's evaluation
+# through cmd/paperbench and compare the output with a committed file cell
+# by cell, after collapsing runs of spaces: column widths move with the
+# timing cells, so a byte diff would fail spuriously. Rows that are times or
+# are derived from times are skipped (simulation, fitting, total and
+# projected cost, both OMP speedup lines); every error, K and λ cell must
+# match. A change that moves a cell on purpose re-records the file.
+#
+# paper-check runs every table and figure (-exp all, about two minutes on a
+# 2-vCPU host) against paperbench_output.txt; part of make ci, not of go
+# test. paper-check-full runs Table IV and Fig. 6 at the paper's sizes
+# (-exp table4 -scale full, about 95 s) against
+# paperbench_fullscale_table4.txt; too slow for ci.
 PAPER_TIME_ROWS = ^(simulation cost|fitting cost|total cost|projected total|OMP speedup)
-paper-check:
+
+# paper_diff runs cmd/paperbench with the arguments $(1) and diffs the
+# non-time cells of its output against the committed file $(2).
+define paper_diff
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	cells() { grep -Ev '$(PAPER_TIME_ROWS)' "$$1" | tr -s ' ' | sed 's/ $$//'; } && \
-	$(GO) run ./cmd/paperbench -exp all > "$$tmp/run.txt" && \
-	cells paperbench_output.txt > "$$tmp/want" && cells "$$tmp/run.txt" > "$$tmp/got" && \
+	$(GO) run ./cmd/paperbench $(1) > "$$tmp/run.txt" && \
+	cells $(2) > "$$tmp/want" && cells "$$tmp/run.txt" > "$$tmp/got" && \
 	if diff "$$tmp/want" "$$tmp/got"; then \
-		echo "paper-check: every non-time cell matches paperbench_output.txt"; \
+		echo "$@: every non-time cell matches $(2)"; \
 	else \
-		echo "paper-check: cells differ from paperbench_output.txt (< committed, > this run)"; exit 1; \
+		echo "$@: cells differ from $(2) (< committed, > this run)"; exit 1; \
 	fi
+endef
+
+paper-check:
+	$(call paper_diff,-exp all,paperbench_output.txt)
+
+paper-check-full:
+	$(call paper_diff,-exp table4 -scale full,paperbench_fullscale_table4.txt)
 
 ci: vet fmt-check build test race chaos crash-smoke obs trace-smoke bench-smoke fuzz-smoke pipeline-smoke refit-smoke cluster-smoke paper-check

@@ -682,7 +682,20 @@ func (c *Client) Yield(ctx context.Context, name string, req YieldRequest) (*Yie
 	return &resp, nil
 }
 
-// Metrics fetches the daemon's counter snapshot.
+// Metrics fetches the daemon's counter snapshot: the JSON view of GET
+// /metrics, a tree of objects whose leaves are numbers, booleans or
+// strings. Its paths follow the family table in internal/server/metrics.go;
+// ?format=prometheus serves the same families as Prometheus text.
+//
+// These nine dotted paths are the stable part of the JSON contract, the
+// counters the repository benchmark (bench/) reads as numbers, and a
+// renamed or removed one reads there as 0 rather than failing:
+//
+//	predictor_cache.hits        predictor_cache.misses      predictor_cache.evictions
+//	journal.appends             jobs.completed              refines.completed
+//	pipelines.completed         refines.outcomes.improved   refines.outcomes.rejected
+//
+// The server package's golden exposition test pins every path of the view.
 func (c *Client) Metrics(ctx context.Context) (map[string]any, error) {
 	var m map[string]any
 	if err := c.do(ctx, http.MethodGet, "/metrics", nil, &m, true); err != nil {
