@@ -578,12 +578,10 @@ var families = []family{
 	scalar("gauge", "rsmd_predictor_cache_entries", "Compiled predictors currently cached.", "predictor_cache.entries", func(s *scrape) any { return int64(s.cache.entries) }),
 	scalar("gauge", "rsmd_predictor_cache_capacity", "Compiled-predictor cache capacity (0 = caching disabled).", "predictor_cache.capacity", func(s *scrape) any { return int64(s.cache.capacity) }),
 
-	// Requests per flush run from 1 (a request that rode alone) through
-	// heavy fan-in; points per flush past the default BatchMaxPoints.
 	histogram("rsmd_predict_coalesced_requests", "Requests coalesced per executed micro-batch flush.", "predict_coalescing.requests_per_batch",
-		[]float64{1, 2, 4, 8, 16, 32, 64}, func(m *metrics) **obs.Histogram { return &m.coalescedCalls }),
+		coalescedCallBounds, func(m *metrics) **obs.Histogram { return &m.coalescedCalls }),
 	histogram("rsmd_predict_coalesced_points", "Total points per executed micro-batch flush.", "predict_coalescing.points_per_batch",
-		[]float64{1, 8, 32, 128, 512, 2048, 8192}, func(m *metrics) **obs.Histogram { return &m.coalescedPoints }),
+		coalescedPointBounds, func(m *metrics) **obs.Histogram { return &m.coalescedPoints }),
 
 	scalar("counter", "rsmd_jobs_submitted_total", "Fit jobs accepted into the queue.", "jobs.submitted", func(s *scrape) any { return s.jobs.submitted }),
 	{name: "rsmd_jobs_total", typ: "counter", help: "Fit jobs reaching a terminal state, by state.", labels: []string{"state"}, json: "jobs.{}",
@@ -594,9 +592,8 @@ var families = []family{
 		series: func(s *scrape) []sample { return jobStates(s.pipelines) }},
 	scalar("gauge", "rsmd_pipelines_active", "Pipeline jobs currently running.", "pipelines.active", tallied(pipelinesActive)),
 	scalar("counter", "rsmd_pipeline_samples_total", "Circuit simulations executed by pipeline sampling stages.", "pipelines.samples_simulated", tallied(samplesSimulated)),
-	// Instant parse/space stages through multi-minute sampling campaigns.
 	{name: "rsmd_pipeline_stage_duration_seconds", typ: "histogram", help: "Pipeline stage wall-clock time, by stage.", labels: []string{"stage"}, json: "pipelines.stage_duration_seconds.{}",
-		bounds: []float64{0.001, 0.01, 0.1, 1, 10, 60, 300}, keys: pipeline.Stages,
+		bounds: pipelineStageBounds, keys: pipeline.Stages,
 		hists: func(m *metrics) []**obs.Histogram {
 			hs := make([]**obs.Histogram, len(m.stageDuration))
 			for i := range m.stageDuration {
@@ -622,10 +619,8 @@ var families = []family{
 	scalar("gauge", "rsmd_journal_degraded", "1 while journal appends are failing (async submits shed with 503).", "journal.degraded", func(s *scrape) any { return s.jnl.degraded }),
 	scalar("counter", "rsmd_journal_appends_total", "Job lifecycle records durably appended to the journal.", "journal.appends", tallied(journalAppends)),
 	scalar("counter", "rsmd_journal_append_errors_total", "Journal append attempts that failed (disk pressure).", "journal.append_errors", tallied(journalAppendErrors)),
-	// Tens of microseconds on a warm NVMe page cache through the hundreds of
-	// milliseconds a contended spinning disk can take.
 	histogram("rsmd_journal_fsync_seconds", "Append+fsync latency of successful journal writes.", "journal.fsync_seconds",
-		[]float64{0.0001, 0.0005, 0.001, 0.005, 0.025, 0.1, 0.5}, func(m *metrics) **obs.Histogram { return &m.journalFsync }),
+		journalFsyncBounds, func(m *metrics) **obs.Histogram { return &m.journalFsync }),
 	scalar("counter", "rsmd_journal_jobs_replayed_total", "Jobs reconstructed from the journal at boot.", "journal.jobs_replayed", tallied(jobsReplayed)),
 	scalar("counter", "rsmd_journal_jobs_recovered_total", "Replayed live jobs re-enqueued to run again.", "journal.jobs_recovered", tallied(jobsRecovered)),
 	scalar("counter", "rsmd_journal_jobs_quarantined_total", "Replayed jobs retired by the crash-loop guard.", "journal.jobs_quarantined", tallied(jobsQuarantined)),
@@ -661,9 +656,8 @@ var families = []family{
 	scalar("gauge", "rsmd_fit_parallel_workers", "Effective engine correlation-sweep goroutines per fit job.", "fit.parallel_workers", func(s *scrape) any { return s.m.fitParallel }),
 	histogram("rsmd_fit_duration_seconds", "Completed fit job wall-clock time.", "fit.duration_seconds",
 		fitSecondsBounds, func(m *metrics) **obs.Histogram { return &m.fitDuration }),
-	// λ is rarely above the default max_lambda of 50, but operators can raise it.
 	histogram("rsmd_fit_iterations", "Final-refit path iterations per completed fit job.", "fit.iterations",
-		[]float64{1, 2, 5, 10, 25, 50, 100, 250}, func(m *metrics) **obs.Histogram { return &m.fitIterations }),
+		fitIterationBounds, func(m *metrics) **obs.Histogram { return &m.fitIterations }),
 
 	scalar("gauge", "rsmd_traces_enabled", "1 when the in-memory trace store is active.", "traces.enabled", func(s *scrape) any { return s.traces.Enabled }),
 	scalar("gauge", "rsmd_traces_stored", "Sealed traces currently held in the ring.", "traces.stored", func(s *scrape) any { return s.traces.Stored }),
@@ -676,10 +670,8 @@ var families = []family{
 	scalar("counter", "rsmd_traces_evicted_total", "Kept traces later pushed out of the ring by capacity pressure.", "traces.evicted_total", func(s *scrape) any { return s.traces.Evicted }),
 
 	scalar("gauge", "rsmd_job_queue_depth", "Jobs of every kind (fit, pipeline, refine) currently pending in the queue.", "queue.depth", func(s *scrape) any { return s.queueDepth }),
-	// Instant pickup through the multi-minute backlog a saturated daemon
-	// accumulates.
 	histogram("rsmd_job_queue_wait_seconds", "Time jobs sat queued before a worker picked them up.", "queue.wait_seconds",
-		[]float64{0.001, 0.01, 0.1, 1, 10, 60, 300}, func(m *metrics) **obs.Histogram { return &m.queueWait }),
+		queueWaitBounds, func(m *metrics) **obs.Histogram { return &m.queueWait }),
 
 	scalar("gauge", "rsmd_goroutines", "Live goroutines.", "runtime.goroutines", func(s *scrape) any { return s.runtime.Goroutines }),
 	scalar("gauge", "rsmd_heap_alloc_bytes", "Live heap bytes.", "runtime.heap_alloc_bytes", func(s *scrape) any { return s.runtime.HeapAllocBytes }),
@@ -688,9 +680,32 @@ var families = []family{
 	scalar("counter", "rsmd_gc_cycles_total", "Completed GC cycles.", "runtime.gc_cycles", func(s *scrape) any { return s.runtime.GCCycles }),
 }
 
-// fitSecondsBounds cover fit and refine fit times: sub-second toy fits
-// through the 5m default deadline.
-var fitSecondsBounds = []float64{0.01, 0.05, 0.25, 1, 5, 30, 120, 600}
+// Histogram bucket upper bounds, one list per layout the table uses. They
+// are package variables, not literals in the rows, so their arrays are
+// static data: the table is built at init, and a literal there would be
+// allocated at run time, which links in compiler-generated array equality
+// functions ahead of every package's code and moves the solver kernels.
+var (
+	// Requests per micro-batch flush, from 1 (a request that rode alone)
+	// through heavy fan-in; points per flush, past the default
+	// BatchMaxPoints of 4096.
+	coalescedCallBounds  = []float64{1, 2, 4, 8, 16, 32, 64}
+	coalescedPointBounds = []float64{1, 8, 32, 128, 512, 2048, 8192}
+	// Instant parse/space stages through multi-minute sampling campaigns.
+	pipelineStageBounds = []float64{0.001, 0.01, 0.1, 1, 10, 60, 300}
+	// Fit and refine fit times: sub-second toy fits through the 5m default
+	// deadline.
+	fitSecondsBounds = []float64{0.01, 0.05, 0.25, 1, 5, 30, 120, 600}
+	// Final-refit path lengths: λ is rarely above the default max_lambda of
+	// 50, but operators can raise it.
+	fitIterationBounds = []float64{1, 2, 5, 10, 25, 50, 100, 250}
+	// Journal append+fsync: tens of microseconds on a warm NVMe page cache
+	// through the hundreds of milliseconds a contended spinning disk takes.
+	journalFsyncBounds = []float64{0.0001, 0.0005, 0.001, 0.005, 0.025, 0.1, 0.5}
+	// Queue wait: instant pickup through the multi-minute backlog a
+	// saturated daemon accumulates.
+	queueWaitBounds = []float64{0.001, 0.01, 0.1, 1, 10, 60, 300}
+)
 
 // clustered marks f as rendered only on a node in a shard ring.
 func clustered(f family) family {
