@@ -56,9 +56,8 @@ func main() {
 	// Specs: gain and bandwidth above their -10% points, power below +10%,
 	// offset within ±5 mV.
 	nominal := map[string]float64{}
-	for mi, metric := range amp.Metrics() {
+	for _, metric := range amp.Metrics() {
 		nominal[metric] = yield.ModelMean(models[metric], dict)
-		_ = mi
 	}
 	specs := map[string]yield.Spec{
 		"gain":      {Low: 0.9 * nominal["gain"], High: math.Inf(1)},

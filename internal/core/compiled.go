@@ -150,27 +150,58 @@ func (cp *CompiledPredictor) Predict(dst []float64, points [][]float64, workers 
 }
 
 // predictRange evaluates points [lo, hi) with one pooled Hermite table —
-// the unit of work Predict hands each worker. The table
-// herm[slot·stride+p] = H̃ₚ(y[used[slot]]) is refilled per point but spans
-// only the support's variables, so each term costs lookups and multiplies.
+// the unit of work Predict hands each worker.
 func (cp *CompiledPredictor) predictRange(dst []float64, points [][]float64, lo, hi int) {
 	hp := cp.scratch.Get().(*[]float64)
 	herm := *hp
-	stride := cp.stride
 	for k := lo; k < hi; k++ {
-		y := points[k]
-		for j, v := range cp.used {
-			hermite.Eval1DUpTo(herm[j*stride:(j+1)*stride], cp.maxOrder, y[v])
-		}
-		s := 0.0
-		for i, c := range cp.coef {
-			p := 1.0
-			for _, f := range cp.factors[cp.offs[i]:cp.offs[i+1]] {
-				p *= herm[int(f.slot)*stride+int(f.pow)]
-			}
-			s += c * p
-		}
-		dst[k] = s
+		dst[k] = cp.eval(herm, points[k])
 	}
 	cp.scratch.Put(hp)
+}
+
+// eval is the per-point kernel behind Predict and PointEvaluator. The table
+// herm[slot·stride+p] = H̃ₚ(y[used[slot]]) is refilled per point but spans
+// only the support's variables, so each term costs lookups and multiplies.
+// The recurrence, the factor order and the support-order sum are the ones
+// basis.Evaluator.EvalRow uses, so the value matches a full-dictionary row
+// dotted with the support bit for bit.
+func (cp *CompiledPredictor) eval(herm, y []float64) float64 {
+	stride := cp.stride
+	for j, v := range cp.used {
+		hermite.Eval1DUpTo(herm[j*stride:(j+1)*stride], cp.maxOrder, y[v])
+	}
+	s := 0.0
+	for i, c := range cp.coef {
+		p := 1.0
+		for _, f := range cp.factors[cp.offs[i]:cp.offs[i+1]] {
+			p *= herm[int(f.slot)*stride+int(f.pow)]
+		}
+		s += c * p
+	}
+	return s
+}
+
+// PointEvaluator evaluates a compiled predictor one point at a time with a
+// Hermite table of its own, the support-only counterpart of
+// basis.Evaluator. Streaming callers such as virtual Monte Carlo use it to
+// evaluate each point as it is drawn, without allocating per point. It is
+// not safe for concurrent use; give each goroutine its own.
+type PointEvaluator struct {
+	cp   *CompiledPredictor
+	herm []float64
+}
+
+// NewEvaluator returns a reusable single-point evaluator.
+func (cp *CompiledPredictor) NewEvaluator() *PointEvaluator {
+	return &PointEvaluator{cp: cp, herm: make([]float64, len(cp.used)*cp.stride)}
+}
+
+// Eval returns the model's value at y. It panics on a dimension mismatch,
+// a programmer error on this API.
+func (e *PointEvaluator) Eval(y []float64) float64 {
+	if len(y) != e.cp.dim {
+		panic(fmt.Sprintf("core: Eval point dimension %d, want %d", len(y), e.cp.dim))
+	}
+	return e.cp.eval(e.herm, y)
 }

@@ -79,6 +79,12 @@ func TestCompiledPredictorProperty(t *testing.T) {
 				}
 			}
 		}
+		ev := cp.NewEvaluator()
+		single := make([]float64, n)
+		for k, y := range points {
+			single[k] = ev.Eval(y)
+		}
+		check("evaluator", single)
 		for workers := 1; workers <= 8; workers++ {
 			got, err := cp.Predict(nil, points, workers)
 			if err != nil {
@@ -148,6 +154,42 @@ func TestCompiledPredictorErrors(t *testing.T) {
 	if cp.Dim() != 4 || cp.NNZ() != 3 {
 		t.Errorf("Dim/NNZ = %d/%d, want 4/3", cp.Dim(), cp.NNZ())
 	}
+}
+
+// TestPointEvaluator pins the single-point evaluator to Predict bit for bit
+// (one kernel serves both), guards its per-point allocations at zero, and
+// checks its dimension panic.
+func TestPointEvaluator(t *testing.T) {
+	m, b, points := randomModelAndPoints(30, 20, 64, 11)
+	cp, err := m.Compile(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := cp.Predict(nil, points, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := cp.NewEvaluator()
+	for k, y := range points {
+		if got := ev.Eval(y); math.Float64bits(got) != math.Float64bits(want[k]) {
+			t.Fatalf("point %d: Eval %v, Predict %v", k, got, want[k])
+		}
+	}
+	var sink float64
+	allocs := testing.AllocsPerRun(200, func() {
+		for _, y := range points {
+			sink += ev.Eval(y)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Eval allocates %v times per %d points, want 0", allocs, len(points))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Eval accepted a dimension-mismatched point")
+		}
+	}()
+	ev.Eval(make([]float64, 3))
 }
 
 func minInt(a, b int) int {

@@ -659,7 +659,14 @@ func (s *Server) handleYield(w http.ResponseWriter, r *http.Request) {
 		Std:     yield.ModelStd(e.Model(), b),
 		N:       req.N,
 	}
-	if req.Low != nil || req.High != nil {
+	// One draw answers both the yield and the quantiles, which are defined
+	// over the same samples at the request's seed.
+	hasSpec := req.Low != nil || req.High != nil
+	var samples []float64
+	if hasSpec || len(req.Quantiles) > 0 {
+		samples = an.Sample(rng.New(req.Seed), req.N)[e.Name]
+	}
+	if hasSpec {
 		spec := yield.Spec{Low: math.Inf(-1), High: math.Inf(1)}
 		if req.Low != nil {
 			spec.Low = *req.Low
@@ -667,20 +674,11 @@ func (s *Server) handleYield(w http.ResponseWriter, r *http.Request) {
 		if req.High != nil {
 			spec.High = *req.High
 		}
-		res, err := an.Yield(rng.New(req.Seed), req.N, map[string]yield.Spec{e.Name: spec})
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		resp.Yield = &res.Yield
+		y := yield.PassFraction(samples, spec)
+		resp.Yield = &y
 	}
 	if len(req.Quantiles) > 0 {
-		qs, err := an.Quantiles(rng.New(req.Seed), req.N, e.Name, req.Quantiles)
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		resp.Quantiles = qs
+		resp.Quantiles = yield.SortedQuantiles(samples, req.Quantiles)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

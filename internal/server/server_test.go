@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +19,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/registry"
 	"repro/internal/rng"
+	"repro/internal/stats"
+	"repro/internal/yield"
 )
 
 // newTestServer spins up a server over an in-memory registry. Logs are
@@ -210,6 +214,85 @@ func TestYieldEndpoint(t *testing.T) {
 	}
 	if len(yr.Quantiles) != 1 || yr.Quantiles[0] < -0.1 || yr.Quantiles[0] > 0.1 {
 		t.Errorf("median %v, want ≈ 0", yr.Quantiles)
+	}
+}
+
+// TestYieldEndpointOneDraw checks that a request with both a spec and
+// quantiles, answered from one draw, returns exactly what Analyzer.Yield
+// and Analyzer.Quantiles return at the same seed, and what the
+// full-dictionary reference sampler (basis.Evaluator rows dotted with the
+// support) gives.
+func TestYieldEndpointOneDraw(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	b := basis.Quadratic(6)
+	src := rng.New(9)
+	m := &core.Model{M: b.Size(), Support: []int{0, 3, 9, 17, 25}, Coef: make([]float64, 5)}
+	for i := range m.Coef {
+		m.Coef[i] = src.Norm()
+	}
+	var env bytes.Buffer
+	if err := core.WriteEnvelope(&env, &core.Envelope{Model: m, Basis: b.Desc, Prov: core.Provenance{Solver: "OMP", Lambda: 5, Metric: "f"}}); err != nil {
+		t.Fatal(err)
+	}
+	up, _ := json.Marshal(UploadRequest{Name: "quad", Model: env.Bytes()})
+	if resp := post(t, hs.URL+"/v1/models", string(up)); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload: HTTP %d", resp.StatusCode)
+	}
+
+	const n, seed = 4000, 77
+	high := yield.ModelMean(m, b) + 0.5*yield.ModelStd(m, b)
+	ps := []float64{0.01, 0.5, 0.99}
+	body, _ := json.Marshal(YieldRequest{High: &high, N: n, Seed: seed, Quantiles: ps})
+	resp := post(t, hs.URL+"/v1/models/quad/yield", string(body))
+	if resp.StatusCode != 200 {
+		t.Fatalf("HTTP %d", resp.StatusCode)
+	}
+	got := decode[YieldResponse](t, resp)
+
+	spec := yield.Spec{Low: math.Inf(-1), High: high}
+	an, err := yield.NewAnalyzer(b, map[string]*core.Model{"quad": m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := an.Yield(rng.New(seed), n, map[string]yield.Spec{"quad": spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := an.Quantiles(rng.New(seed), n, "quad", ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ref := make([]float64, n)
+	dy := make([]float64, b.Dim)
+	row := make([]float64, b.Size())
+	ev := b.NewEvaluator()
+	refSrc := rng.New(seed)
+	pass := 0
+	for k := range ref {
+		refSrc.NormVec(dy, b.Dim)
+		ev.EvalRow(row, dy)
+		for i, idx := range m.Support {
+			ref[k] += m.Coef[i] * row[idx]
+		}
+		if spec.Pass(ref[k]) {
+			pass++
+		}
+	}
+	refYield := float64(pass) / n
+	sort.Float64s(ref)
+
+	if got.Yield == nil || math.Float64bits(*got.Yield) != math.Float64bits(res.Yield) || math.Float64bits(res.Yield) != math.Float64bits(refYield) {
+		t.Fatalf("yield: endpoint %v, Analyzer %v, reference %v", got.Yield, res.Yield, refYield)
+	}
+	if len(got.Quantiles) != len(ps) {
+		t.Fatalf("quantiles %v, want %d", got.Quantiles, len(ps))
+	}
+	for i, p := range ps {
+		want := stats.Quantile(ref, p)
+		if math.Float64bits(got.Quantiles[i]) != math.Float64bits(qs[i]) || math.Float64bits(qs[i]) != math.Float64bits(want) {
+			t.Errorf("quantile %g: endpoint %v, Analyzer %v, reference %v", p, got.Quantiles[i], qs[i], want)
+		}
 	}
 }
 

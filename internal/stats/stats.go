@@ -44,14 +44,20 @@ func StdDev(x []float64) float64 { return math.Sqrt(Variance(x)) }
 // Quantile returns the p-quantile of x (linear interpolation between order
 // statistics). It panics for empty x or p outside [0, 1].
 func Quantile(x []float64, p float64) float64 {
-	if len(x) == 0 {
+	s := append([]float64(nil), x...)
+	sort.Float64s(s)
+	return SortedQuantile(s, p)
+}
+
+// SortedQuantile is Quantile for x already in ascending order (as left by
+// sort.Float64s): it interpolates in place, without copying or sorting.
+func SortedQuantile(s []float64, p float64) float64 {
+	if len(s) == 0 {
 		panic("stats: Quantile of empty data")
 	}
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("stats: Quantile p=%g outside [0,1]", p))
 	}
-	s := append([]float64(nil), x...)
-	sort.Float64s(s)
 	if len(s) == 1 {
 		return s[0]
 	}

@@ -64,7 +64,11 @@ type Spec struct {
 func (s Spec) Pass(v float64) bool { return v >= s.Low && v <= s.High }
 
 // Analyzer evaluates a set of per-metric models over a shared variation
-// space for distribution and yield estimation.
+// space for distribution and yield estimation. Each virtual sample draws one
+// ΔY ~ N(0, I) point, whatever the number of models, and evaluates only the
+// metrics a call needs through compiled predictors, which touch the
+// support's variables and never the M-term dictionary. So an answer depends
+// on the seed and n alone, not on which other metrics the analyzer holds.
 type Analyzer struct {
 	// B is the shared basis (all models must use it).
 	B *basis.Basis
@@ -72,38 +76,74 @@ type Analyzer struct {
 	Models map[string]*core.Model
 }
 
-// NewAnalyzer validates and wraps the models.
+// NewAnalyzer validates and wraps the models. A model that does not compile
+// against b (a mismatched dictionary, a duplicate or out-of-range support
+// index) is an error.
 func NewAnalyzer(b *basis.Basis, models map[string]*core.Model) (*Analyzer, error) {
 	if len(models) == 0 {
 		return nil, fmt.Errorf("yield: no models")
 	}
 	for name, m := range models {
-		if m.M != b.Size() {
-			return nil, fmt.Errorf("yield: model %q has dictionary %d, basis has %d", name, m.M, b.Size())
+		if _, err := m.Compile(b); err != nil {
+			return nil, fmt.Errorf("yield: model %q: %w", name, err)
 		}
 	}
 	return &Analyzer{B: b, Models: models}, nil
 }
 
-// Sample draws n virtual Monte Carlo samples of every metric.
-func (a *Analyzer) Sample(src *rng.Source, n int) map[string][]float64 {
-	out := make(map[string][]float64, len(a.Models))
-	for name := range a.Models {
-		out[name] = make([]float64, n)
+// draw streams n virtual samples. Sample k draws one ΔY point and passes the
+// named metrics' values at it to visit, in names order. The models are
+// compiled per call (a few microseconds for a sparse model), so later edits
+// to B or Models are honoured and nothing is cached.
+func (a *Analyzer) draw(src *rng.Source, n int, names []string, visit func(k int, vals []float64)) error {
+	evs := make([]*core.PointEvaluator, len(names))
+	for i, name := range names {
+		cp, err := a.Models[name].Compile(a.B)
+		if err != nil {
+			return fmt.Errorf("yield: model %q: %w", name, err)
+		}
+		evs[i] = cp.NewEvaluator()
 	}
 	dy := make([]float64, a.B.Dim)
-	row := make([]float64, a.B.Size())
-	ev := a.B.NewEvaluator()
+	vals := make([]float64, len(names))
 	for k := 0; k < n; k++ {
 		src.NormVec(dy, a.B.Dim)
-		ev.EvalRow(row, dy)
-		for name, m := range a.Models {
-			s := 0.0
-			for i, idx := range m.Support {
-				s += m.Coef[i] * row[idx]
-			}
-			out[name][k] = s
+		for i, ev := range evs {
+			vals[i] = ev.Eval(dy)
 		}
+		visit(k, vals)
+	}
+	return nil
+}
+
+// sample returns n virtual samples of each named metric, in names order.
+func (a *Analyzer) sample(src *rng.Source, n int, names []string) ([][]float64, error) {
+	out := make([][]float64, len(names))
+	for i := range out {
+		out[i] = make([]float64, n)
+	}
+	err := a.draw(src, n, names, func(k int, vals []float64) {
+		for i, v := range vals {
+			out[i][k] = v
+		}
+	})
+	return out, err
+}
+
+// Sample draws n virtual Monte Carlo samples of every metric. It panics on a
+// model that does not compile against B, which NewAnalyzer rules out.
+func (a *Analyzer) Sample(src *rng.Source, n int) map[string][]float64 {
+	names := make([]string, 0, len(a.Models))
+	for name := range a.Models {
+		names = append(names, name)
+	}
+	cols, err := a.sample(src, n, names)
+	if err != nil {
+		panic(err.Error())
+	}
+	out := make(map[string][]float64, len(names))
+	for i, name := range names {
+		out[name] = cols[i]
 	}
 	return out
 }
@@ -119,8 +159,9 @@ type Result struct {
 }
 
 // Yield estimates the parametric yield for the given specs by virtual Monte
-// Carlo with n samples. Metrics without a spec are ignored; a spec for an
-// unknown metric is an error.
+// Carlo with n samples. Only the spec'd metrics are evaluated, and passes
+// are counted as the samples stream, so memory does not grow with n. A spec
+// for an unknown metric is an error.
 func (a *Analyzer) Yield(src *rng.Source, n int, specs map[string]Spec) (*Result, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("yield: sample count %d must be positive", n)
@@ -133,14 +174,19 @@ func (a *Analyzer) Yield(src *rng.Source, n int, specs map[string]Spec) (*Result
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("yield: no specs")
 	}
-	samples := a.Sample(src, n)
+	names := make([]string, 0, len(specs))
+	list := make([]Spec, 0, len(specs))
+	for name, spec := range specs {
+		names = append(names, name)
+		list = append(list, spec)
+	}
 	passAll := 0
-	passOne := make(map[string]int, len(specs))
-	for k := 0; k < n; k++ {
+	passOne := make([]int, len(names))
+	err := a.draw(src, n, names, func(_ int, vals []float64) {
 		all := true
-		for name, spec := range specs {
-			if spec.Pass(samples[name][k]) {
-				passOne[name]++
+		for i, v := range vals {
+			if list[i].Pass(v) {
+				passOne[i]++
 			} else {
 				all = false
 			}
@@ -148,33 +194,56 @@ func (a *Analyzer) Yield(src *rng.Source, n int, specs map[string]Spec) (*Result
 		if all {
 			passAll++
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	res := &Result{
 		Yield:    float64(passAll) / float64(n),
 		Marginal: make(map[string]float64, len(specs)),
 		N:        n,
 	}
-	for name := range specs {
-		res.Marginal[name] = float64(passOne[name]) / float64(n)
+	for i, name := range names {
+		res.Marginal[name] = float64(passOne[i]) / float64(n)
 	}
 	return res, nil
 }
 
 // Quantiles estimates the given quantiles of one metric from n virtual
-// samples.
+// samples, evaluating that metric alone.
 func (a *Analyzer) Quantiles(src *rng.Source, n int, metric string, ps []float64) ([]float64, error) {
-	m, ok := a.Models[metric]
-	if !ok {
+	if _, ok := a.Models[metric]; !ok {
 		return nil, fmt.Errorf("yield: unknown metric %q", metric)
 	}
-	_ = m
-	samples := a.Sample(src, n)[metric]
+	cols, err := a.sample(src, n, []string{metric})
+	if err != nil {
+		return nil, err
+	}
+	return SortedQuantiles(cols[0], ps), nil
+}
+
+// PassFraction returns the fraction of samples that satisfy spec: the
+// single-metric yield estimate over samples already drawn.
+func PassFraction(samples []float64, spec Spec) float64 {
+	pass := 0
+	for _, v := range samples {
+		if spec.Pass(v) {
+			pass++
+		}
+	}
+	return float64(pass) / float64(len(samples))
+}
+
+// SortedQuantiles sorts samples in place and returns their ps quantiles
+// (stats.Quantile's interpolation). Callers that also need a pass count can
+// take it from the same slice first.
+func SortedQuantiles(samples, ps []float64) []float64 {
 	sort.Float64s(samples)
 	out := make([]float64, len(ps))
 	for i, p := range ps {
-		out[i] = stats.Quantile(samples, p)
+		out[i] = stats.SortedQuantile(samples, p)
 	}
-	return out, nil
+	return out
 }
 
 // WorstCaseCorner searches the sphere ‖ΔY‖ = radius (in sigma units) for the

@@ -157,6 +157,9 @@ func TestAnalyzerValidation(t *testing.T) {
 	if _, err := NewAnalyzer(b, map[string]*core.Model{"f": {M: 7}}); err == nil {
 		t.Error("dictionary mismatch must error")
 	}
+	if _, err := NewAnalyzer(b, map[string]*core.Model{"f": {M: b.Size(), Support: []int{1, 1}, Coef: []float64{1, 2}}}); err == nil {
+		t.Error("duplicate support index must error")
+	}
 	a, err := NewAnalyzer(b, map[string]*core.Model{"f": {M: b.Size()}})
 	if err != nil {
 		t.Fatal(err)
