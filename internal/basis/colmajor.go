@@ -106,36 +106,6 @@ func NewColMajorDesign(b *Basis, points [][]float64) *ColMajor {
 	return c
 }
 
-// GatherRows copies the given rows of c, in order, into a len(rows)×M
-// column-major design and returns it. dst's storage is reused when it is
-// large enough (pass nil to allocate), so a sequence of gathers — one per
-// cross-validation fold — shares one buffer; each gather invalidates the
-// previous result held in dst.
-func (c *ColMajor) GatherRows(dst *ColMajor, rows []int) *ColMajor {
-	n := len(rows)
-	if dst == nil {
-		dst = &ColMajor{}
-	}
-	dst.rows, dst.cols = n, c.cols
-	if len(dst.blocks) != len(c.blocks) {
-		dst.blocks = make([][]float64, len(c.blocks))
-	}
-	for b := range dst.blocks {
-		w := c.blockWidth(b) * n
-		if cap(dst.blocks[b]) < w {
-			dst.blocks[b] = make([]float64, w)
-		}
-		dst.blocks[b] = dst.blocks[b][:w]
-	}
-	for j := 0; j < c.cols; j++ {
-		src, out := c.ColSlice(j), dst.ColSlice(j)
-		for i, r := range rows {
-			out[i] = src[r]
-		}
-	}
-	return dst
-}
-
 // blockWidth returns the number of columns stored in block b.
 func (c *ColMajor) blockWidth(b int) int {
 	w := c.cols - b*colMajorBlock

@@ -148,20 +148,3 @@ func TestSquaredColumnNormsStorageIndependent(t *testing.T) {
 	sameBits(t, "colmajor norms", SquaredColumnNorms(NewColMajorDesign(b, pts), nil), want)
 	sameBits(t, "lazy norms", SquaredColumnNorms(NewLazyDesign(b, pts), nil), want)
 }
-
-func TestGatherRowsReusesBuffer(t *testing.T) {
-	_, d := randomDense(t, 30, 40, 31)
-	cm := NewColMajor(d)
-	big := cm.GatherRows(nil, []int{0, 2, 5, 7, 11, 13, 39})
-	small := cm.GatherRows(big, []int{1, 38})
-	if small != big {
-		t.Fatal("GatherRows allocated a new design although the buffer was large enough")
-	}
-	if small.Rows() != 2 || small.Cols() != cm.Cols() {
-		t.Fatalf("dims %dx%d, want 2x%d", small.Rows(), small.Cols(), cm.Cols())
-	}
-	for _, j := range []int{0, 255, 256, cm.Cols() - 1} {
-		col := cm.ColSlice(j)
-		sameBits(t, "gathered column", small.ColSlice(j), []float64{col[1], col[38]})
-	}
-}

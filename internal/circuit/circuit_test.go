@@ -280,16 +280,36 @@ func TestSyntheticOracleRecovery(t *testing.T) {
 	}
 }
 
-func TestSyntheticNoiseIsFresh(t *testing.T) {
+// TestSyntheticNoiseIsPure: the observation noise is a function of the
+// point, so repeated and concurrent evaluations at one point agree, while
+// distinct points draw distinct noise.
+func TestSyntheticNoiseIsPure(t *testing.T) {
 	syn, err := NewSynthetic(11, 10, 2, 3, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dy := make([]float64, 10)
 	a, _ := syn.Evaluate(dy)
+	truth := syn.TrueModel().PredictPoint(syn.Basis(), dy)
+	if a[0] == truth {
+		t.Fatal("noisy evaluation equals the ground truth")
+	}
+	done := make(chan float64)
+	for i := 0; i < 4; i++ {
+		go func() {
+			v, _ := syn.Evaluate(dy)
+			done <- v[0]
+		}()
+	}
+	for i := 0; i < 4; i++ {
+		if v := <-done; math.Float64bits(v) != math.Float64bits(a[0]) {
+			t.Fatalf("evaluation %v differs from the first, %v, at the same point", v, a[0])
+		}
+	}
+	dy[3] = math.Nextafter(0, 1)
 	b, _ := syn.Evaluate(dy)
-	if a[0] == b[0] {
-		t.Error("noisy evaluations at the same point should differ")
+	if b[0]-syn.TrueModel().PredictPoint(syn.Basis(), dy) == a[0]-truth {
+		t.Error("points one ulp apart drew the same noise")
 	}
 }
 

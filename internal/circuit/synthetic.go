@@ -2,7 +2,6 @@ package circuit
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/basis"
 	"repro/internal/core"
@@ -20,15 +19,15 @@ type Synthetic struct {
 	noise float64
 	model *core.Model
 	b     *basis.Basis
-
-	mu  sync.Mutex // guards src: Evaluate may run from parallel workers
-	src *rng.Source
+	// seed keys the observation noise: Evaluate draws it from
+	// rng.PointNorm(seed, dy), so it is a pure function of the point.
+	seed int64
 }
 
 // NewSynthetic builds a synthetic benchmark: dim factors, a degree-deg
 // Hermite dictionary, nnz active terms with coefficients drawn uniformly
 // from ±[0.5, 1.5], and observation noise with the given standard deviation.
-// The generator is deterministic in seed.
+// The generator is deterministic in seed, and so is the noise at each point.
 func NewSynthetic(seed int64, dim, deg, nnz int, noise float64) (*Synthetic, error) {
 	if dim < 1 || deg < 1 || nnz < 1 {
 		return nil, fmt.Errorf("circuit: invalid synthetic config dim=%d deg=%d nnz=%d", dim, deg, nnz)
@@ -61,7 +60,7 @@ func NewSynthetic(seed int64, dim, deg, nnz int, noise float64) (*Synthetic, err
 		noise: noise,
 		model: &core.Model{M: b.Size(), Support: support, Coef: coefs},
 		b:     b,
-		src:   src.Split(),
+		seed:  seed,
 	}, nil
 }
 
@@ -77,16 +76,17 @@ func (s *Synthetic) Basis() *basis.Basis { return s.b }
 // TrueModel returns the ground-truth sparse model (the oracle).
 func (s *Synthetic) TrueModel() *core.Model { return s.model }
 
-// Evaluate implements Simulator: ground truth plus fresh observation noise.
+// Evaluate implements Simulator: ground truth plus observation noise. The
+// noise is a pure function of the point's bits (and the seed), so Evaluate
+// is safe for concurrent use and gives the same answer at the same point
+// whatever order parallel workers call it in.
 func (s *Synthetic) Evaluate(dy []float64) ([]float64, error) {
 	if err := checkDim(len(dy), s.dim); err != nil {
 		return nil, err
 	}
 	v := s.model.PredictPoint(s.b, dy)
 	if s.noise > 0 {
-		s.mu.Lock()
-		v += s.noise * s.src.Norm()
-		s.mu.Unlock()
+		v += s.noise * rng.PointNorm(s.seed, dy)
 	}
 	return []float64{v}, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/basis"
@@ -115,6 +116,26 @@ func benchFitPath(b *testing.B, fitter PathFitter) {
 func BenchmarkFitPathOMP(b *testing.B)  { benchFitPath(b, &OMP{}) }
 func BenchmarkFitPathLAR(b *testing.B)  { benchFitPath(b, &LAR{}) }
 func BenchmarkFitPathSTAR(b *testing.B) { benchFitPath(b, &STAR{}) }
+
+// benchCrossValidate times one 4-fold cross-validation on the same K×M
+// problem at one sweep worker, the shape of an rsmd fit job on a 2-CPU
+// host: four fold paths and the final path, each λ steps long, on one
+// column-major design.
+func benchCrossValidate(b *testing.B, fitter PathFitter) {
+	d, f := fitBenchProblem(b)
+	cm := basis.NewColMajor(d)
+	ctx := WithFitWorkers(context.Background(), 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := CrossValidateCtx(ctx, fitter, cm, f, 4, fitBenchLambda); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkCrossValidateOMP(b *testing.B) { benchCrossValidate(b, &OMP{}) }
+func BenchmarkCrossValidateLAR(b *testing.B) { benchCrossValidate(b, &LAR{}) }
 
 // BenchmarkCorrelateSweep isolates the engine's Gᵀ·x kernel on the same
 // K×M problem: the serial column-major sweep against the goroutine-sharded

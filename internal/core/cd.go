@@ -94,7 +94,7 @@ func (c *CD) FitLambda(d basis.Design, f []float64, mu float64) (*Model, error) 
 	if mu < 0 {
 		return nil, fmt.Errorf("core: CD penalty μ=%g must be non-negative", mu)
 	}
-	st := newCDState(d, f, ResolveFitWorkers(0))
+	st := newCDState(d, f, NewEngine(0))
 	st.l2 = c.L2 / float64(d.Rows())
 	if err := st.solve(nil, mu, c.sweeps(), c.tol()); err != nil {
 		return nil, err
@@ -120,7 +120,7 @@ func (c *CD) FitPathCtx(fc *FitContext, d basis.Design, f []float64, maxLambda i
 	if maxLambda > d.Cols() {
 		maxLambda = d.Cols()
 	}
-	st := newCDState(d, f, fc.engine().Workers())
+	st := newCDState(d, f, fc.engine())
 	st.l2 = c.L2 / float64(d.Rows())
 	// μ_max: the smallest penalty at which every coefficient is zero. The
 	// correlator's first sweep validates the result for NaN/Inf, so a
@@ -241,18 +241,18 @@ type cdState struct {
 	cols map[int][]float64
 }
 
-func newCDState(d basis.Design, f []float64, workers int) *cdState {
+func newCDState(d basis.Design, f []float64, eng *Engine) *cdState {
 	k := d.Rows()
 	st := &cdState{
 		d:     d,
-		corr:  newCorrelator(d, workers),
+		corr:  eng.correlator(d),
 		k:     k,
 		alpha: make([]float64, d.Cols()),
 		res:   linalg.Clone(f),
 		z:     make([]float64, d.Cols()),
 		cols:  make(map[int][]float64),
 	}
-	basis.SquaredColumnNorms(d, st.z)
+	squaredColumnNorms(d, st.z)
 	for j := range st.z {
 		st.z[j] /= float64(k)
 	}

@@ -9,10 +9,12 @@ import (
 )
 
 // subsetDesign exposes a row subset of an underlying design without copying
-// it, by scattering/gathering through the row index map. It lets the
-// cross-validation folds reuse lazy paper-scale designs.
+// it, by scattering/gathering through the row index map. Every
+// cross-validation fold is one: a view of the one column-major design, or of
+// a lazy paper-scale design past colMajorizeMax.
 type subsetDesign struct {
 	d    basis.Design
+	cm   *basis.ColMajor // d, when it is column-major
 	rows []int
 }
 
@@ -24,12 +26,40 @@ func (s *subsetDesign) Cols() int { return s.d.Cols() }
 
 // Column gathers the subset rows of the inner design's column m.
 func (s *subsetDesign) Column(dst []float64, m int) []float64 {
-	full := s.d.Column(nil, m)
+	var full []float64
+	if s.cm != nil {
+		full = s.cm.ColSlice(m)
+	} else {
+		full = s.d.Column(nil, m)
+	}
 	if dst == nil {
 		dst = make([]float64, len(s.rows))
 	}
 	for i, r := range s.rows {
 		dst[i] = full[r]
+	}
+	return dst
+}
+
+// squaredColumnNorms is basis.SquaredColumnNorms with a fast path for a row
+// view of column-major storage: each column's subset entries are read in
+// ascending row order, the same sum a gathered copy would add, without
+// assembling rows from columns.
+func squaredColumnNorms(d basis.Design, dst []float64) []float64 {
+	s, ok := d.(*subsetDesign)
+	if !ok || s.cm == nil {
+		return basis.SquaredColumnNorms(d, dst)
+	}
+	if dst == nil {
+		dst = make([]float64, d.Cols())
+	}
+	for j := range dst {
+		col, sum := s.cm.ColSlice(j), 0.0
+		for _, r := range s.rows {
+			v := col[r]
+			sum += v * v
+		}
+		dst[j] = sum
 	}
 	return dst
 }
@@ -68,7 +98,8 @@ func Subset(d basis.Design, rows []int) basis.Design {
 			panic(fmt.Sprintf("core: Subset rows must be strictly ascending in [0,%d), got %d at position %d", d.Rows(), r, i))
 		}
 	}
-	return &subsetDesign{d: d, rows: rows}
+	cm, _ := d.(*basis.ColMajor)
+	return &subsetDesign{d: d, cm: cm, rows: rows}
 }
 
 // gather copies f at the given rows.
@@ -101,9 +132,18 @@ func CrossValidate(fitter PathFitter, d basis.Design, f []float64, folds, maxLam
 	return CrossValidateCtx(context.Background(), fitter, d, f, folds, maxLambda)
 }
 
-// CrossValidateCtx is CrossValidate under a context: cancellation is checked
-// between folds and, for ContextFitter solvers, inside each fold's path fit,
-// so an expired job deadline abandons the cross-validation mid-fold.
+// CrossValidateCtx is CrossValidate under a context: cancellation stops
+// every fold's path fit and the final refit, mid-path for ContextFitter
+// solvers, so an expired job deadline abandons the cross-validation
+// promptly.
+//
+// The Q fold fits and the final refit run in lockstep (see lockstep.go):
+// one correlation sweep over one column-major design serves every path's
+// step. Each fold's design is a row view of it, and the held-out rows enter
+// only at the sweep, as +0 entries of the fold's residual, so every result
+// equals that of running the Q+1 paths one after another on gathered
+// copies, bit for bit. On failure the error is the one the sequential order
+// would report first: the lowest failing fold, else the final refit.
 func CrossValidateCtx(ctx context.Context, fitter PathFitter, d basis.Design, f []float64, folds, maxLambda int) (*CVResult, error) {
 	if err := checkProblem(d, f, maxLambda); err != nil {
 		return nil, err
@@ -116,98 +156,80 @@ func CrossValidateCtx(ctx context.Context, fitter PathFitter, d basis.Design, f 
 		return nil, fmt.Errorf("core: %d folds exceed %d samples", folds, k)
 	}
 
-	result := &CVResult{
-		ErrCurve: make([]float64, maxLambda),
-		FoldErr:  make([][]float64, folds),
-	}
-	counts := make([]int, maxLambda)
-	// One engine for the whole cross-validation: every fold fit and the final
-	// refit run sequentially, so they share a single set of correlation and
-	// residual buffers instead of allocating Q+1 of them.
-	eng := NewEngine(FitWorkersFromContext(ctx))
-	// At most one column-major copy per cross-validation: d itself when it is
-	// already column-major, else one copy when the engine would make one.
-	// Each fold's training rows are gathered from it into one reused buffer,
-	// so the fold correlators find column-major storage and copy nothing;
-	// past colMajorizeMax the folds stay views rather than add a fold-sized
-	// copy. The copy does not depend on the worker count, so neither do the
-	// results: every sweep sums each column in ascending row order.
+	// At most one column-major copy per cross-validation: d itself when it
+	// is already column-major, else one copy when the engine would make
+	// one. Past colMajorizeMax every path sweeps through the design's own
+	// MulTransVec instead. The copy does not depend on the worker count, so
+	// neither do the results: every sweep sums each column in ascending row
+	// order.
 	cm, _ := d.(*basis.ColMajor)
 	if cm == nil && worthColMajor(d) {
 		cm = basis.NewColMajor(d)
 	}
-	gatherFolds := cm != nil && k*d.Cols() <= colMajorizeMax
-	var foldBuf *basis.ColMajor
+	design := d
+	if cm != nil {
+		design = cm
+	}
+	lanes := make([]*cvLane, folds+1)
+	testRows := make([][]int, folds)
 	for q := 0; q < folds; q++ {
-		var trainRows, testRows []int
+		var trainRows []int
 		for i := 0; i < k; i++ {
 			if i%folds == q {
-				testRows = append(testRows, i)
+				testRows[q] = append(testRows[q], i)
 			} else {
 				trainRows = append(trainRows, i)
 			}
 		}
-		var trainD basis.Design
-		if gatherFolds {
-			foldBuf = cm.GatherRows(foldBuf, trainRows)
-			trainD = foldBuf
-		} else {
-			trainD = Subset(d, trainRows)
-		}
-		trainF := gather(f, trainRows)
-		testF := gather(f, testRows)
-
 		// Fold fits run on row subsets, so an exact checkpoint does not apply
 		// (its rows are the full data set) and a capture plan must not race
 		// across folds — scrub both. A warm start survives: replay is valid
 		// on any data and the folds are the bulk of a refine's speedup.
-		foldCtx := WithFitStage(WithCheckpointPlan(WithResumeCheckpoint(ctx, nil), nil), fmt.Sprintf("cv-fold-%d", q))
-		path, err := fitPathWithEngine(foldCtx, eng, fitter, trainD, trainF, maxLambda)
-		if err != nil {
-			return nil, fmt.Errorf("core: cross-validation fold %d: %w", q, err)
+		foldCtx := WithCheckpointPlan(WithResumeCheckpoint(ctx, nil), nil)
+		lanes[q] = newCVLane(foldCtx, q, fmt.Sprintf("cv-fold-%d", q), Subset(design, trainRows), gather(f, trainRows), cm)
+	}
+	// The final path is fit to maxLambda rather than BestLambda because
+	// batch solvers (StOMP, CD) admit several bases per step: capping
+	// admission at BestLambda could truncate a batch, whereas indexing the
+	// full path returns the same model the folds scored. So it needs no fold
+	// result and runs in the same lockstep.
+	lanes[folds] = newCVLane(ctx, folds, "final", design, f, cm)
+	if failed, err := runLockstep(ctx, fitter, lanes, cm, ResolveFitWorkers(FitWorkersFromContext(ctx)), maxLambda); err != nil {
+		if failed == folds {
+			return nil, fmt.Errorf("core: final refit: %w", err)
 		}
-		preds := scoreHeldOut(path, d, cm, testRows)
+		return nil, fmt.Errorf("core: cross-validation fold %d: %w", failed, err)
+	}
+
+	result := &CVResult{
+		ErrCurve: make([]float64, maxLambda),
+		FoldErr:  make([][]float64, folds),
+	}
+	for q := 0; q < folds; q++ {
+		path := lanes[q].path
+		preds := scoreHeldOut(path, d, cm, testRows[q])
+		testF := gather(f, testRows[q])
 		foldErr := make([]float64, maxLambda)
 		for lam := 1; lam <= maxLambda; lam++ {
 			// Paths may terminate early; reuse the last available model.
-			idx := lam - 1
-			if idx >= path.Len() {
-				idx = path.Len() - 1
-			}
+			idx := min(lam, path.Len()) - 1
 			foldErr[lam-1] = stats.RelativeRMSError(preds[idx], testF)
 		}
 		result.FoldErr[q] = foldErr
 		for i, e := range foldErr {
 			result.ErrCurve[i] += e
-			counts[i]++
 		}
 	}
 	best, bestErr := 0, 0.0
 	for i := range result.ErrCurve {
-		result.ErrCurve[i] /= float64(counts[i])
+		result.ErrCurve[i] /= float64(folds)
 		if i == 0 || result.ErrCurve[i] < bestErr {
 			best, bestErr = i+1, result.ErrCurve[i]
 		}
 	}
 	result.BestLambda = best
-
-	// Refit on the full data set. The path is fit to maxLambda rather than
-	// BestLambda because batch solvers (StOMP, CD) admit several bases per
-	// step: capping admission at BestLambda could truncate a batch, whereas
-	// indexing the full path returns the same model the folds scored.
-	finalD := d
-	if cm != nil {
-		finalD = cm
-	}
-	path, err := fitPathWithEngine(WithFitStage(ctx, "final"), eng, fitter, finalD, f, maxLambda)
-	if err != nil {
-		return nil, fmt.Errorf("core: final refit: %w", err)
-	}
-	idx := best - 1
-	if idx >= path.Len() {
-		idx = path.Len() - 1
-	}
-	result.Model = path.Models[idx]
+	final := lanes[folds].path
+	result.Model = final.Models[min(best, final.Len())-1]
 	return result, nil
 }
 

@@ -70,15 +70,18 @@ func ResolveFitWorkers(n int) int {
 // Engine owns the reusable allocation state of the active-set solvers: the
 // correlation scratch (length M), the residual buffer (length K), a column
 // buffer, and the worker count of the parallel sweep. One engine serves one
-// fit at a time; CrossValidateCtx allocates a single engine and reuses it
-// across every fold fit and the final refit, so a Q-fold cross-validation
-// performs one set of large allocations instead of Q+1.
+// fit at a time. Under CrossValidateCtx each of the Q+1 path fits has its
+// own engine, whose lane hands the fit's sweeps to the lockstep driver.
 type Engine struct {
 	workers int // requested; 0 = GOMAXPROCS
 
 	xi     []float64
 	res    []float64
 	colBuf []float64
+
+	// lane, when set, routes every correlation sweep of the engine's fit
+	// through a cross-validation's lockstep driver (see lockstep.go).
+	lane *cvLane
 }
 
 // NewEngine returns an engine whose correlation sweeps use the given worker
@@ -114,6 +117,16 @@ func (e *Engine) columnBuf(k int) []float64 {
 	return e.colBuf
 }
 
+// correlator builds the sweep kernel for a fit on d. A fit on a
+// cross-validation lane never copies its design: the lane's lockstep sweep
+// reads the one shared column-major design.
+func (e *Engine) correlator(d basis.Design) *Correlator {
+	if e.lane != nil {
+		return &Correlator{d: d, lane: e.lane}
+	}
+	return newCorrelator(d, e.Workers())
+}
+
 // Correlator is the engine's Gᵀ·x kernel — the dominant cost of every path
 // iteration (eq. 18). When the design is (or can affordably be copied into)
 // column-major blocked storage, the sweep shards contiguous column ranges
@@ -121,11 +134,13 @@ func (e *Engine) columnBuf(k int) []float64 {
 // products into its disjoint slice of dst, so the parallel sweep is
 // bit-identical to the serial one. Below correlateParallelMin, or when the
 // design stays in its own representation, the sweep runs serially through
-// the design's MulTransVec.
+// the design's MulTransVec. A correlator on a cross-validation lane posts
+// its sweeps to the lockstep driver instead.
 type Correlator struct {
 	d       basis.Design
 	cm      *basis.ColMajor
 	workers int
+	lane    *cvLane
 	checked bool // first-sweep NaN/Inf validation done
 }
 
@@ -150,16 +165,15 @@ func newCorrelator(d basis.Design, workers int) *Correlator {
 // there, so a non-finite design or response entry surfaces immediately
 // instead of silently corrupting the path.
 func (c *Correlator) Apply(dst, x []float64) ([]float64, error) {
-	m := c.d.Cols()
 	if dst == nil {
-		dst = make([]float64, m)
+		dst = make([]float64, c.d.Cols())
 	}
-	if c.cm != nil && c.workers > 1 && c.d.Rows()*m >= correlateParallelMin {
-		c.applyParallel(dst, x)
-	} else if c.cm != nil {
-		c.cm.MulTransVec(dst, x)
+	if c.lane != nil {
+		if err := c.lane.sweep(c, dst, x); err != nil {
+			return dst, err
+		}
 	} else {
-		c.d.MulTransVec(dst, x)
+		c.sweep(dst, x)
 	}
 	if !c.checked {
 		c.checked = true
@@ -170,32 +184,36 @@ func (c *Correlator) Apply(dst, x []float64) ([]float64, error) {
 	return dst, nil
 }
 
-// applyParallel shards the column range across the worker pool. Shards are
-// contiguous column blocks writing disjoint dst ranges; per-column summation
-// order is unchanged, so the result is bit-identical to the serial sweep
-// regardless of worker count.
-func (c *Correlator) applyParallel(dst, x []float64) {
-	m := c.cm.Cols()
-	workers := c.workers
-	if workers > m {
-		workers = m
+// sweep computes dst = Gᵀ·x in the correlator's own storage: sharded over
+// the worker pool on column-major storage above correlateParallelMin,
+// serially otherwise.
+func (c *Correlator) sweep(dst, x []float64) {
+	switch {
+	case c.cm == nil:
+		c.d.MulTransVec(dst, x)
+	case c.workers > 1 && c.cm.Rows()*c.cm.Cols() >= correlateParallelMin:
+		forColumnBlocks(c.cm.Cols(), c.workers, func(lo, hi int) {
+			c.cm.MulTransVecRange(dst, x, lo, hi)
+		})
+	default:
+		c.cm.MulTransVec(dst, x)
 	}
+}
+
+// forColumnBlocks runs fn over contiguous column blocks covering [0, m), one
+// goroutine per block, at most workers blocks. Blocks write disjoint dst
+// ranges and per-column summation order is unchanged, so a sharded sweep is
+// bit-identical to the serial one regardless of worker count.
+func forColumnBlocks(m, workers int, fn func(lo, hi int)) {
+	workers = min(workers, m)
 	chunk := (m + workers - 1) / workers
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			break
-		}
+	for lo := 0; lo < m; lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			c.cm.MulTransVecRange(dst, x, lo, hi)
-		}(lo, hi)
+			fn(lo, hi)
+		}(lo, min(lo+chunk, m))
 	}
 	wg.Wait()
 }
@@ -275,7 +293,7 @@ func newActiveSet(fc *FitContext, d basis.Design, f []float64, maxLambda int, cf
 	}
 	as := &ActiveSet{
 		cfg: cfg, d: d, fc: fc, eng: eng,
-		corr: newCorrelator(d, eng.Workers()),
+		corr: eng.correlator(d),
 		k:    k, m: m,
 		f:     f,
 		fNorm: linalg.Norm2(f),
@@ -293,7 +311,7 @@ func newActiveSet(fc *FitContext, d basis.Design, f []float64, maxLambda int, cf
 	if cfg.normalize {
 		// One row-streaming pass — a per-column loop would cost M full
 		// column materializations, prohibitive on lazy/generated designs.
-		as.norms = basis.SquaredColumnNorms(d, nil)
+		as.norms = squaredColumnNorms(d, nil)
 		for j, n := range as.norms {
 			if n <= 0 {
 				as.excluded[j] = true

@@ -168,9 +168,8 @@ func TestSolverPathsWorkerIndependent(t *testing.T) {
 	}
 }
 
-// TestEngineReuseAcrossFits verifies a shared engine's scratch buffers are
-// reused (not reallocated) across sequential fits, the allocation contract
-// CrossValidateCtx relies on.
+// TestEngineReuseAcrossFits verifies an engine's scratch buffers are reused
+// (not reallocated) across sequential fits of one shape.
 func TestEngineReuseAcrossFits(t *testing.T) {
 	_, d, f, _ := synthProblem(306, 8, 40, false, []int{2, 5}, []float64{1, -1}, 0.01)
 	eng := NewEngine(1)

@@ -289,9 +289,9 @@ func FitPathContext(ctx context.Context, fitter PathFitter, d basis.Design, f []
 }
 
 // fitPathWithEngine is FitPathContext with an optional pre-built engine,
-// letting a sequential driver (CrossValidateCtx) share one engine's scratch
-// buffers across many path fits. A nil eng falls back to lazy per-fit
-// creation.
+// letting a cross-validation lane (lockstep.go) hand the fit an engine whose
+// sweeps go through the lockstep driver. A nil eng falls back to lazy
+// per-fit creation.
 func fitPathWithEngine(ctx context.Context, eng *Engine, fitter PathFitter, d basis.Design, f []float64, maxLambda int) (*Path, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -41,9 +41,12 @@ func TestAdaptiveFitConvergesOnSparseTruth(t *testing.T) {
 			t.Errorf("true basis %d missing from adaptive model", s)
 		}
 	}
-	// Error must be non-increasing-ish across rounds (allow tiny noise).
+	// Error must be non-increasing-ish across rounds. Once the support is
+	// found, every round's CV error sits at the noise floor, where the
+	// estimate from K held-out samples spreads by about 1/√(2K) — 11% at
+	// K=40 — so a rise within that spread is noise, not divergence.
 	first, last := res.Rounds[0].CVError, res.Rounds[len(res.Rounds)-1].CVError
-	if last > first {
+	if last > 1.25*first {
 		t.Errorf("CV error rose across rounds: %g → %g", first, last)
 	}
 	// Budget accounting: K grows geometrically from InitialK.

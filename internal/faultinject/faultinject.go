@@ -25,6 +25,8 @@
 //	registry.write  registry persistence, between temp write and rename
 //	journal.append  job-journal record append, before the write+fsync
 //	                (error simulates a full disk: submits degrade to 503)
+//	core.cv-fold-N  start of cross-validation fold N's path fit
+//	core.final      start of cross-validation's final path fit
 package faultinject
 
 import (

@@ -93,7 +93,10 @@ type JobState struct {
 	Kind      string
 	RequestID string
 	IdemKey   string
-	Payload   json.RawMessage
+	// Payload is the submitted request body, kept while the job may still
+	// run: a terminal job never runs again and a snapshot drops its
+	// payload, so it is released at the terminal record.
+	Payload json.RawMessage
 	// State is the journaled lifecycle state: "pending" until a started
 	// record, "running" until terminal, then the terminal state verbatim.
 	State    string
@@ -187,7 +190,7 @@ func (rp *Replay) apply(rec *Record, maxTerminal int) {
 		if js.IdemKey == "" {
 			js.IdemKey = rec.IdemKey
 		}
-		if len(js.Payload) == 0 {
+		if len(js.Payload) == 0 && !js.Terminal {
 			js.Payload = rec.Payload
 		}
 		if js.Submitted.IsZero() {
@@ -217,6 +220,7 @@ func (rp *Replay) apply(rec *Record, maxTerminal int) {
 			return // first terminal record wins
 		}
 		js.Terminal = true
+		js.Payload = nil
 		js.State = rec.State
 		js.Error = rec.Error
 		js.Finished = rec.Time

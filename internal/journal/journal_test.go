@@ -90,6 +90,26 @@ func TestJournalRoundtrip(t *testing.T) {
 	}
 }
 
+// TestTerminalJobReleasesPayload: the in-memory state holds a job's
+// payload only while the job may still run. A terminal job never re-runs
+// and a snapshot omits its payload, so keeping it would grow the daemon's
+// heap by one request body per finished job, up to MaxTerminal of them.
+func TestTerminalJobReleasesPayload(t *testing.T) {
+	j, _ := mustOpen(t, t.TempDir(), Options{})
+	appendAll(t, j,
+		submittedRec("job-000001", "fit", ""),
+		Record{Type: TypeTerminal, JobID: "job-000001", State: "done"},
+		submittedRec("job-000001", "fit", ""), // a late duplicate
+		submittedRec("job-000002", "fit", ""),
+	)
+	if js := j.state.Jobs["job-000001"]; !js.Terminal || js.Payload != nil {
+		t.Fatalf("terminal job state %+v, want no payload", js)
+	}
+	if len(j.state.Jobs["job-000002"].Payload) == 0 {
+		t.Fatal("pending job lost its payload")
+	}
+}
+
 // TestJournalCompaction drives enough appends through a tiny segment bound
 // to force rotation, and checks old segments are gone while the state
 // survives reopen intact.

@@ -81,10 +81,9 @@ type Options struct {
 // Sample draws n points and evaluates sim at each. The points are
 // deterministic in seed and values[k] is always sim's answer at points[k],
 // but the workers evaluate in scheduling order, so the values are
-// deterministic only when sim is a pure function of its input. A
-// simulator with internal state is not: circuit.Synthetic draws its
-// observation noise from one shared, mutex-guarded RNG, so which noise
-// lands on which point varies run to run (see ROADMAP.md item 9).
+// deterministic only when sim is a pure function of its input. Every
+// simulator in package circuit is: circuit.Synthetic keys its observation
+// noise by the point's bits rather than drawing it from a shared stream.
 func Sample(sim circuit.Simulator, n int, seed int64, opt Options) (*Dataset, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("mc: sample count %d must be positive", n)

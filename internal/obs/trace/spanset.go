@@ -5,16 +5,17 @@ import (
 	"sync"
 )
 
-// SpanSet turns a stream of sequential stage labels — the shape of
-// core.FitEvent telemetry — into sibling child spans under one parent:
-// each time the stage label changes, the previous stage span ends and a
-// new one starts. Safe for concurrent use and safe on a context without a
-// span (every method no-ops).
+// SpanSet turns a stream of stage labels — the shape of core.FitEvent
+// telemetry — into sibling child spans under one parent, one span per
+// label. The stages may interleave: a lockstep cross-validation reports its
+// fold paths and its final path step by step, so every label's span stays
+// open from its first event until Close. Safe for concurrent use and safe
+// on a context without a span (every method no-ops).
 type SpanSet struct {
 	mu    sync.Mutex
 	ctx   context.Context
-	cur   *Span
-	stage string
+	open  map[string]*Span
+	order []*Span // open spans in first-sighting order, for Close
 }
 
 // NewSpanSet builds a SpanSet parented at ctx's current span.
@@ -23,33 +24,39 @@ func NewSpanSet(ctx context.Context) *SpanSet {
 }
 
 // Observe records one stage observation: the first sighting of a label
-// opens a span, repeats update its attrs, and a label change closes the
-// previous stage's span. Attrs overwrite by key, so passing the latest
-// iteration counters on every event leaves the final values on the span.
+// opens its span, and every sighting updates that span's attrs. Attrs
+// overwrite by key, so passing the latest iteration counters on every event
+// leaves the final values on the span.
 func (ss *SpanSet) Observe(stage string, attrs ...Attr) {
 	if ss == nil || stage == "" || SpanFromContext(ss.ctx) == nil {
 		return
 	}
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if ss.cur == nil || ss.stage != stage {
-		ss.cur.End()
-		_, ss.cur = Start(ss.ctx, stage)
-		ss.stage = stage
+	sp := ss.open[stage]
+	if sp == nil {
+		if ss.open == nil {
+			ss.open = make(map[string]*Span)
+		}
+		_, sp = Start(ss.ctx, stage)
+		ss.open[stage] = sp
+		ss.order = append(ss.order, sp)
 	}
 	for _, a := range attrs {
-		ss.cur.SetAttr(a.Key, a.Value)
+		sp.SetAttr(a.Key, a.Value)
 	}
 }
 
-// Close ends the in-flight stage span, if any.
+// Close ends every open stage span, in the order they opened. A label
+// observed after Close opens a new span.
 func (ss *SpanSet) Close() {
 	if ss == nil {
 		return
 	}
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	ss.cur.End()
-	ss.cur = nil
-	ss.stage = ""
+	for _, sp := range ss.order {
+		sp.End()
+	}
+	ss.open, ss.order = nil, nil
 }

@@ -165,17 +165,8 @@ func RowPoint(dst []float64, seed int64, k, dim int) []float64 {
 		dst = make([]float64, dim)
 	}
 	state := (uint64(seed)+0x9E3779B97F4A7C15)*0xBF58476D1CE4E5B9 ^ (uint64(k)+1)*0x94D049BB133111EB
-	next := func() float64 {
-		// splitmix64 step → uniform in (0, 1].
-		state += 0x9E3779B97F4A7C15
-		z := state
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		z ^= z >> 31
-		return (float64(z>>11) + 1) / (1 << 53)
-	}
 	for i := 0; i < dim; i += 2 {
-		u1, u2 := next(), next()
+		u1, u2 := splitmixUnit(&state), splitmixUnit(&state)
 		r := math.Sqrt(-2 * math.Log(u1))
 		s, c := math.Sincos(2 * math.Pi * u2)
 		dst[i] = r * c
@@ -184,6 +175,34 @@ func RowPoint(dst []float64, seed int64, k, dim int) []float64 {
 		}
 	}
 	return dst
+}
+
+// PointNorm returns a standard-normal draw that is a pure function of seed
+// and the bits of point: the same splitmix64 and Box–Muller construction as
+// RowPoint, keyed by the point itself rather than a sample index. A
+// simulator that derives its observation noise from it gives the same
+// answer at the same point however its calls are scheduled.
+func PointNorm(seed int64, point []float64) float64 {
+	state := (uint64(seed) + 0x9E3779B97F4A7C15) * 0xBF58476D1CE4E5B9
+	for _, v := range point {
+		state = splitmix64(state ^ math.Float64bits(v))
+	}
+	u1, u2 := splitmixUnit(&state), splitmixUnit(&state)
+	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+}
+
+// splitmixUnit advances a splitmix64 state by one step and returns its
+// output as a uniform variate in (0, 1].
+func splitmixUnit(state *uint64) float64 {
+	*state += 0x9E3779B97F4A7C15
+	return (float64(splitmix64(*state)>>11) + 1) / (1 << 53)
+}
+
+// splitmix64 is the splitmix64 output mix of z.
+func splitmix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
 }
 
 // primes are the bases for the Halton sequence (first 64 dims use distinct

@@ -304,3 +304,26 @@ func TestHaltonBeatsMCOnSmoothIntegral(t *testing.T) {
 		t.Errorf("QMC spread %g not below MC %g", qmc, mc)
 	}
 }
+
+func TestPointNormMoments(t *testing.T) {
+	const n = 20000
+	var sum, sq float64
+	pt := make([]float64, 6)
+	for k := 0; k < n; k++ {
+		RowPoint(pt, 5, k, len(pt))
+		v := PointNorm(3, pt)
+		if v != PointNorm(3, pt) {
+			t.Fatal("PointNorm is not a function of its inputs")
+		}
+		sum += v
+		sq += v * v
+	}
+	mean := sum / n
+	variance := sq/n - mean*mean
+	if math.Abs(mean) > 0.03 || math.Abs(variance-1) > 0.04 {
+		t.Errorf("PointNorm mean %g variance %g, want ~0 and ~1", mean, variance)
+	}
+	if PointNorm(3, pt) == PointNorm(4, pt) {
+		t.Error("distinct seeds drew the same value at one point")
+	}
+}

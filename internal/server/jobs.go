@@ -60,7 +60,7 @@ type job struct {
 	requestID string     // trace ID of the submitting request
 	idemKey   string     // Idempotency-Key of the submitting request ("" = none)
 	attempt   int        // crash-recovery replays before this life (0 = first)
-	req       jobRequest // nil on a replayed job that will not run again
+	req       jobRequest // nil once run, and on a replayed job that will not run again
 	q         *jobQueue  // owning queue, for terminal bookkeeping
 
 	ctx    context.Context
@@ -693,6 +693,10 @@ type jobRun struct {
 // fails, the worker survives), cancellation and deadline expiry land the
 // job in canceled/timed_out, and everything else in failed.
 func (s *Server) runJob(j *job) {
+	// The request is read only here, and a fit's holds its whole dataset,
+	// while the job record stays in the queue's index for the daemon's
+	// life: drop it once the job has run.
+	defer func() { j.req = nil }()
 	if !j.begin() {
 		return // canceled while queued
 	}
