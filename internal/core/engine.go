@@ -169,7 +169,7 @@ func (c *Correlator) Apply(dst, x []float64) ([]float64, error) {
 		dst = make([]float64, c.d.Cols())
 	}
 	if c.lane != nil {
-		if err := c.lane.sweep(c, dst, x); err != nil {
+		if err := c.lane.sweep(dst, x); err != nil {
 			return dst, err
 		}
 	} else {

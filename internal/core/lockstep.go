@@ -50,8 +50,7 @@ type cvLane struct {
 	rows []int
 	full []float64
 
-	// The posted sweep: dst = Gᵀ·x through corr.
-	corr   *Correlator
+	// The posted sweep: dst = Gᵀ·x.
 	dst, x []float64
 
 	wake chan error // coordinator → path: resume (nil) or stop (the cause)
@@ -81,14 +80,14 @@ func newCVLane(ctx context.Context, idx int, stage string, d basis.Design, f []f
 
 // sweep posts dst = Gᵀ·x and parks until the coordinator has answered it
 // (nil) or stops the path (the cause, which the solver returns).
-func (ln *cvLane) sweep(c *Correlator, dst, x []float64) error {
+func (ln *cvLane) sweep(dst, x []float64) error {
 	if ln.full != nil {
 		for i, r := range ln.rows {
 			ln.full[r] = x[i]
 		}
 		x = ln.full
 	}
-	ln.corr, ln.dst, ln.x = c, dst, x
+	ln.dst, ln.x = dst, x
 	ln.park <- true
 	return <-ln.wake
 }
@@ -171,7 +170,7 @@ func runLockstep(ctx context.Context, fitter PathFitter, lanes []*cvLane, cm *ba
 func sweepLockstep(posted []*cvLane, cm *basis.ColMajor, workers int) {
 	if cm == nil {
 		for _, ln := range posted {
-			ln.corr.sweep(ln.dst, ln.x)
+			ln.d.MulTransVec(ln.dst, ln.x)
 		}
 		return
 	}

@@ -36,7 +36,9 @@ type AdaptiveConfig struct {
 	Seed int64
 	// Workers is the simulator worker pool size (0 = GOMAXPROCS).
 	Workers int
-	Logf    func(string, ...any)
+	// Logf, if set, receives one progress line per round, right after that
+	// round's cross-validation.
+	Logf func(string, ...any)
 }
 
 // AdaptiveRound records one batch of the adaptive loop.

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/basis"
@@ -41,18 +42,47 @@ func TestAdaptiveFitConvergesOnSparseTruth(t *testing.T) {
 			t.Errorf("true basis %d missing from adaptive model", s)
 		}
 	}
-	// Error must be non-increasing-ish across rounds. Once the support is
-	// found, every round's CV error sits at the noise floor, where the
-	// estimate from K held-out samples spreads by about 1/√(2K) — 11% at
-	// K=40 — so a rise within that spread is noise, not divergence.
-	first, last := res.Rounds[0].CVError, res.Rounds[len(res.Rounds)-1].CVError
-	if last > 1.25*first {
-		t.Errorf("CV error rose across rounds: %g → %g", first, last)
+	// Error must not rise across rounds. Each round's CV error is a held-out
+	// estimate of the model's error, and once the support is found it sits
+	// at the noise floor, where it rises from one round to the next for
+	// about a third of seeds with nothing wrong. So the check is on the
+	// model error itself, against the known truth: the last round's model
+	// must be no worse than the first round's. The first round's model is
+	// the same run stopped after one round (the rounds share one sample
+	// stream), and with orthonormal Hermite terms the L2 model error is the
+	// Euclidean distance between coefficient vectors.
+	one, err := AdaptiveFit(sim, b, &core.OMP{}, AdaptiveConfig{
+		Metric:   0,
+		InitialK: 40,
+		MaxK:     40,
+		Folds:    4,
+		Seed:     81,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(one.Rounds[0].CVError) != math.Float64bits(res.Rounds[0].CVError) {
+		t.Fatalf("one-round run's CV error %g differs from the first round's %g", one.Rounds[0].CVError, res.Rounds[0].CVError)
+	}
+	first, last := modelError(one.Model, truth), modelError(res.Model, truth)
+	if last > first {
+		t.Errorf("model error rose across rounds: %g → %g", first, last)
 	}
 	// Budget accounting: K grows geometrically from InitialK.
 	if res.K > 640 || res.K < 40 {
 		t.Errorf("total K = %d outside [40, 640]", res.K)
 	}
+}
+
+// modelError is the Euclidean distance between two models' dense
+// coefficient vectors.
+func modelError(m, truth *core.Model) float64 {
+	d, t := m.Dense(), truth.Dense()
+	var e float64
+	for i := range d {
+		e += (d[i] - t[i]) * (d[i] - t[i])
+	}
+	return math.Sqrt(e)
 }
 
 func TestAdaptiveFitTargetError(t *testing.T) {

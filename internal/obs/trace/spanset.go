@@ -9,8 +9,11 @@ import (
 // telemetry — into sibling child spans under one parent, one span per
 // label. The stages may interleave: a lockstep cross-validation reports its
 // fold paths and its final path step by step, so every label's span stays
-// open from its first event until Close. Safe for concurrent use and safe
-// on a context without a span (every method no-ops).
+// open from its first event until Close. So one SpanSet serves one
+// cross-validation at a time: a caller that runs several in sequence Closes
+// it between them, and the next one's labels open new spans. Safe for
+// concurrent use and safe on a context without a span (every method
+// no-ops).
 type SpanSet struct {
 	mu    sync.Mutex
 	ctx   context.Context

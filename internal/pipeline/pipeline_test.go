@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/obs/trace"
 	"repro/internal/registry"
 	"repro/internal/spice"
 )
@@ -205,6 +206,56 @@ func TestRunAdaptive(t *testing.T) {
 	}
 	if res.Metric != "tran_delay(bl)" {
 		t.Errorf("metric = %q", res.Metric)
+	}
+}
+
+// TestRunAdaptiveSpansPerRound: each adaptive round is one cross-validation,
+// so the sample stage's trace holds one span per fold and one final per
+// round, and a round's spans end before the next round's open.
+func TestRunAdaptiveSpansPerRound(t *testing.T) {
+	spec := rcSpec()
+	spec.Sampling = Sampling{Mode: ModeAdaptive, Samples: 32, MaxSamples: 64, Seed: 7}
+	spec.Fit.Solvers = []string{"omp"}
+	st := trace.NewStore(trace.Config{Capacity: 4})
+	ctx, root := st.StartRoot(context.Background(), "pipeline")
+	res, err := Run(ctx, Request{
+		Name: "rc-gain", Netlist: readDeck(t, "rc_lowpass.cir"), Spec: spec,
+	}, Options{Registry: registry.New()})
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rounds != 2 {
+		t.Fatalf("rounds = %d, want 2 (32 then 64 samples)", res.Rounds)
+	}
+	d, ok := st.Get(root.TraceID())
+	if !ok {
+		t.Fatal("trace not stored")
+	}
+	var sampleID string
+	for _, r := range d.Spans {
+		if r.Name == "stage."+StageSample {
+			sampleID = r.SpanID
+		}
+	}
+	byLabel := make(map[string][]trace.Record)
+	for _, r := range d.Spans {
+		if r.ParentID == sampleID {
+			byLabel[r.Name] = append(byLabel[r.Name], r)
+		}
+	}
+	for _, label := range []string{"cv-fold-0", "cv-fold-1", "cv-fold-2", "cv-fold-3", "final"} {
+		spans := byLabel[label]
+		if len(spans) != res.Rounds {
+			t.Errorf("%s: %d spans under the sample stage, want one per round (%d)", label, len(spans), res.Rounds)
+			continue
+		}
+		if end := spans[0].Start.Add(spans[0].Duration); end.After(spans[1].Start) {
+			t.Errorf("%s: the first round's span ends at %s, after the second's starts at %s", label, end, spans[1].Start)
+		}
+	}
+	if len(byLabel) != 5 {
+		t.Errorf("span labels under the sample stage %v, want four folds and final", byLabel)
 	}
 }
 

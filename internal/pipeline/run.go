@@ -178,12 +178,16 @@ func Run(ctx context.Context, req Request, opts Options) (*Result, error) {
 		if err != nil {
 			return fail(StageSample, err)
 		}
+		// Every round is one cross-validation, whose fold and final spans
+		// stay open until the SpanSet closes; Logf runs right after each
+		// round's CV, so closing there gives each round its own spans.
 		adaptiveSpans := trace.NewSpanSet(stageCtx)
 		ar, err := exp.AdaptiveFitCtx(observed(stageCtx, opts, "adaptive", adaptiveSpans), sim, b, fitter, exp.AdaptiveConfig{
 			InitialK: sp.Samples, MaxK: sp.MaxSamples,
 			TargetErr: sp.TargetErr, RelImprove: sp.RelImprove,
 			Folds: req.Spec.Fit.Folds, MaxLambda: req.Spec.Fit.MaxLambda,
 			Seed: sp.Seed, Workers: opts.SimWorkers,
+			Logf: func(string, ...any) { adaptiveSpans.Close() },
 		})
 		adaptiveSpans.Close()
 		if err != nil {
