@@ -17,6 +17,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/linalg"
 	"repro/internal/mc"
+	"repro/internal/rng"
 )
 
 // opampFix lazily samples a shared OpAmp dataset: 700 training points (the
@@ -432,7 +433,7 @@ func BenchmarkAblationGeneratedDesignParallel(b *testing.B) {
 	gen := basis.NewGeneratedDesign(dict, k, 9)
 	pts := make([][]float64, k)
 	for i := range pts {
-		pts[i] = gen.Point(nil, i)
+		pts[i] = rng.RowPoint(nil, 9, i, dim)
 	}
 	lazy := basis.NewLazyDesign(dict, pts)
 	x := make([]float64, k)

@@ -10,7 +10,6 @@ package basis
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 
@@ -322,71 +321,6 @@ var (
 	_ Design = (*LazyDesign)(nil)
 )
 
-// QuadraticForm is a fitted quadratic model rewritten in raw polynomial
-// coordinates: f(y) = Const + bᵀy + yᵀA·y with A symmetric. It undoes the
-// Hermite normalization (H̃₂(x) = (x²−1)/√2), exposing the "quadratic
-// coefficient matrix" of the paper's introduction for downstream tools.
-type QuadraticForm struct {
-	// Const is the constant offset.
-	Const float64
-	// Linear[i] is the coefficient of yᵢ.
-	Linear []float64
-	// Quad maps (i,j) with i ≤ j to the coefficient of yᵢ·yⱼ. Only non-zero
-	// entries are stored, preserving the model's sparsity.
-	Quad map[[2]int]float64
-}
-
-// ToQuadraticForm converts the sparse coefficients (aligned with b.Terms;
-// support[k] indexes b.Terms, coef[k] is its coefficient) of a degree ≤ 2
-// model into raw polynomial coordinates. It returns an error when a term of
-// degree > 2 is present.
-func ToQuadraticForm(b *Basis, support []int, coef []float64) (*QuadraticForm, error) {
-	q := &QuadraticForm{
-		Linear: make([]float64, b.Dim),
-		Quad:   make(map[[2]int]float64),
-	}
-	sqrt2 := math.Sqrt2
-	for k, idx := range support {
-		t := b.Terms[idx]
-		c := coef[k]
-		switch t.Degree() {
-		case 0:
-			q.Const += c
-		case 1:
-			q.Linear[t[0].Var] += c
-		case 2:
-			if len(t) == 1 {
-				// c·H̃₂(yᵢ) = c·(yᵢ²−1)/√2.
-				i := t[0].Var
-				q.Quad[[2]int{i, i}] += c / sqrt2
-				q.Const -= c / sqrt2
-			} else {
-				// c·yᵢ·yⱼ (i < j by construction).
-				i, j := t[0].Var, t[1].Var
-				if i > j {
-					i, j = j, i
-				}
-				q.Quad[[2]int{i, j}] += c
-			}
-		default:
-			return nil, fmt.Errorf("basis: term %v has degree %d > 2", t, t.Degree())
-		}
-	}
-	return q, nil
-}
-
-// Eval evaluates the quadratic form at y.
-func (q *QuadraticForm) Eval(y []float64) float64 {
-	v := q.Const
-	for i, b := range q.Linear {
-		v += b * y[i]
-	}
-	for ij, c := range q.Quad {
-		v += c * y[ij[0]] * y[ij[1]]
-	}
-	return v
-}
-
 // GeneratedDesign regenerates its sampling points deterministically from a
 // seed on every access instead of storing them: memory is O(M) regardless of
 // K·N, which is what makes the paper's largest configurations (K = 25 000
@@ -412,11 +346,6 @@ func (d *GeneratedDesign) Rows() int { return d.k }
 
 // Cols returns M.
 func (d *GeneratedDesign) Cols() int { return d.basis.Size() }
-
-// Point regenerates sampling point k into dst (allocated when nil).
-func (d *GeneratedDesign) Point(dst []float64, k int) []float64 {
-	return rng.RowPoint(dst, d.seed, k, d.basis.Dim)
-}
 
 // Column evaluates basis function m at every regenerated point, sharding
 // the row regeneration across GOMAXPROCS goroutines.

@@ -68,18 +68,6 @@ func TestGeneratedDesignDeterministic(t *testing.T) {
 	}
 }
 
-func TestGeneratedDesignPointAccess(t *testing.T) {
-	b := Linear(3)
-	g := NewGeneratedDesign(b, 5, 11)
-	p := g.Point(nil, 2)
-	want := rng.RowPoint(nil, 11, 2, 3)
-	for i := range p {
-		if p[i] != want[i] {
-			t.Fatal("Point does not match rng.RowPoint")
-		}
-	}
-}
-
 func TestGeneratedDesignPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

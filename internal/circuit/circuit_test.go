@@ -172,8 +172,8 @@ func testSRAM(t *testing.T) *SRAM {
 
 func TestSRAMSpaceMatchesConfig(t *testing.T) {
 	s := testSRAM(t)
-	if s.Dim() != s.Config().Dim() {
-		t.Fatalf("Dim %d != config %d", s.Dim(), s.Config().Dim())
+	if s.Dim() != s.cfg.Dim() {
+		t.Fatalf("Dim %d != config %d", s.Dim(), s.cfg.Dim())
 	}
 }
 
@@ -274,7 +274,7 @@ func TestSyntheticOracleRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := syn.TrueModel().PredictPoint(syn.Basis(), dy)
+	want := syn.TrueModel().PredictPoint(syn.b, dy)
 	if got[0] != want {
 		t.Errorf("Evaluate = %g, oracle = %g", got[0], want)
 	}
@@ -290,7 +290,7 @@ func TestSyntheticNoiseIsPure(t *testing.T) {
 	}
 	dy := make([]float64, 10)
 	a, _ := syn.Evaluate(dy)
-	truth := syn.TrueModel().PredictPoint(syn.Basis(), dy)
+	truth := syn.TrueModel().PredictPoint(syn.b, dy)
 	if a[0] == truth {
 		t.Fatal("noisy evaluation equals the ground truth")
 	}
@@ -308,7 +308,7 @@ func TestSyntheticNoiseIsPure(t *testing.T) {
 	}
 	dy[3] = math.Nextafter(0, 1)
 	b, _ := syn.Evaluate(dy)
-	if b[0]-syn.TrueModel().PredictPoint(syn.Basis(), dy) == a[0]-truth {
+	if b[0]-syn.TrueModel().PredictPoint(syn.b, dy) == a[0]-truth {
 		t.Error("points one ulp apart drew the same noise")
 	}
 }
@@ -337,10 +337,17 @@ func TestOpAmpSpaceSigmaPositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Spot-check a few devices for nonzero total sigma.
+	// Spot-check a few devices for a nonzero VTH weight on some factor.
 	sp := o.Space()
+	unit := make([]float64, sp.Dim())
 	for d := 0; d < 3; d++ {
-		if sp.Sigma(d, variation.VTH) <= 0 {
+		varies := false
+		for f := range unit {
+			unit[f] = 1
+			varies = varies || sp.Delta(d, variation.VTH, unit) != 0
+			unit[f] = 0
+		}
+		if !varies {
 			t.Errorf("device %d has zero VTH sigma", d)
 		}
 	}

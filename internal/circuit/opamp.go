@@ -135,11 +135,6 @@ func (o *OpAmp) Metrics() []string { return []string{"gain", "bandwidth", "power
 // Space exposes the variation space (for diagnostics and tests).
 func (o *OpAmp) Space() *variation.Space { return o.space }
 
-// vth returns the effective threshold of device d.
-func (o *OpAmp) vth(d int, dy []float64) float64 {
-	return o.vt0 + o.space.Delta(d, variation.VTH, dy)
-}
-
 // betaOf returns the effective beta of device d around nominal b0.
 func (o *OpAmp) betaOf(d int, b0 float64, dy []float64) float64 {
 	return b0 * (1 + o.space.Delta(d, variation.Beta, dy))

@@ -74,12 +74,6 @@ func (ro *RingOscillator) Dim() int { return ro.space.Dim() }
 // Metrics implements Simulator.
 func (ro *RingOscillator) Metrics() []string { return []string{"period"} }
 
-// Space exposes the variation space.
-func (ro *RingOscillator) Space() *variation.Space { return ro.space }
-
-// Stages returns the number of inverter stages.
-func (ro *RingOscillator) Stages() int { return ro.stages }
-
 // Evaluate implements Simulator: a transient simulation of the free-running
 // ring, measuring the oscillation period between two rising crossings of
 // the first node.

@@ -61,7 +61,7 @@ func TestRingOscillatorEveryStageMatters(t *testing.T) {
 		name := "local/MN" + string(rune('0'+stage)) + "/VTH"
 		idx := -1
 		for f := 0; f < ro.Dim(); f++ {
-			if ro.Space().FactorName(f) == name {
+			if ro.space.FactorName(f) == name {
 				idx = f
 			}
 		}

@@ -149,9 +149,6 @@ func (s *SRAM) Metrics() []string { return []string{"read_delay"} }
 // Space exposes the variation space for diagnostics.
 func (s *SRAM) Space() *variation.Space { return s.space }
 
-// Config returns the testbench configuration.
-func (s *SRAM) Config() SRAMConfig { return s.cfg }
-
 // mos builds the effective square-law parameters of path device d.
 func (s *SRAM) mos(d int, typ spice.MOSType, beta0 float64, dy []float64) spice.MOSParams {
 	return spice.MOSParams{

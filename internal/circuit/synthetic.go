@@ -70,9 +70,6 @@ func (s *Synthetic) Dim() int { return s.dim }
 // Metrics implements Simulator.
 func (s *Synthetic) Metrics() []string { return []string{"f"} }
 
-// Basis returns the dictionary the ground truth lives in.
-func (s *Synthetic) Basis() *basis.Basis { return s.b }
-
 // TrueModel returns the ground-truth sparse model (the oracle).
 func (s *Synthetic) TrueModel() *core.Model { return s.model }
 

@@ -175,9 +175,6 @@ func normalizeURL(raw string) (string, error) {
 // SelfName returns this node's member name, or "" for a proxy-only node.
 func (c *Cluster) SelfName() string { return c.selfName }
 
-// Members returns the sorted member names of the ring.
-func (c *Cluster) Members() []string { return c.ring.Members() }
-
 // Owner resolves the shard owning model: its member name, base URL, and
 // whether that shard is this very node.
 func (c *Cluster) Owner(model string) (name, baseURL string, local bool) {

@@ -21,7 +21,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 )
 
@@ -48,8 +47,6 @@ type Member struct {
 // membership changes build a new ring.
 type Ring struct {
 	owners []string // partition index -> member name
-	names  []string // member names, sorted
-	vnodes int
 	mask   uint64
 }
 
@@ -82,18 +79,14 @@ func NewRing(members []Member, vnodes int) (*Ring, error) {
 	}
 	r := &Ring{
 		owners: make([]string, ringPartitions),
-		names:  make([]string, 0, len(members)),
-		vnodes: vnodes,
 		mask:   uint64(ringPartitions - 1),
 	}
 	// Per-member streaming-FNV prefix of "id#", so the inner loop hashes
 	// only the partition digits.
 	prefixes := make([]uint64, len(members))
 	for i, m := range members {
-		r.names = append(r.names, m.Name)
 		prefixes[i] = fnvString(fnvOffset64, m.ID+"#")
 	}
-	sort.Strings(r.names)
 	for p := range r.owners {
 		digits := strconv.Itoa(p)
 		var best uint64
@@ -115,19 +108,6 @@ func NewRing(members []Member, vnodes int) (*Ring, error) {
 func (r *Ring) Owner(key string) string {
 	return r.owners[hash64(key)&r.mask]
 }
-
-// Members returns the sorted member names.
-func (r *Ring) Members() []string {
-	out := make([]string, len(r.names))
-	copy(out, r.names)
-	return out
-}
-
-// VNodes returns the configured granularity per member.
-func (r *Ring) VNodes() int { return r.vnodes }
-
-// Partitions returns the partition count of the ring.
-func (r *Ring) Partitions() int { return len(r.owners) }
 
 // fnvOffset64 and fnvPrime64 are the 64-bit FNV-1a constants; the hash is
 // hand-rolled (rather than hash/fnv) so member prefixes can be streamed

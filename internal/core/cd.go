@@ -75,33 +75,6 @@ func (c *CD) decades() int {
 	return 4
 }
 
-// Fit runs the path until lambda active coefficients and returns the final
-// model.
-func (c *CD) Fit(d basis.Design, f []float64, lambda int) (*Model, error) {
-	path, err := c.FitPath(d, f, lambda)
-	if err != nil {
-		return nil, err
-	}
-	return path.Models[len(path.Models)-1], nil
-}
-
-// FitLambda solves one lasso problem at a fixed penalty μ and returns the
-// model (no path).
-func (c *CD) FitLambda(d basis.Design, f []float64, mu float64) (*Model, error) {
-	if err := checkProblem(d, f, 1); err != nil {
-		return nil, err
-	}
-	if mu < 0 {
-		return nil, fmt.Errorf("core: CD penalty μ=%g must be non-negative", mu)
-	}
-	st := newCDState(d, f, NewEngine(0))
-	st.l2 = c.L2 / float64(d.Rows())
-	if err := st.solve(nil, mu, c.sweeps(), c.tol()); err != nil {
-		return nil, err
-	}
-	return st.model(d, f, c.Refit), nil
-}
-
 // FitPath implements PathFitter.
 func (c *CD) FitPath(d basis.Design, f []float64, maxLambda int) (*Path, error) {
 	return c.FitPathCtx(nil, d, f, maxLambda)

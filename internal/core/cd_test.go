@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -8,11 +9,28 @@ import (
 	"repro/internal/linalg"
 )
 
+// fitLambda solves one lasso problem at the fixed penalty μ, the inner
+// problem of every step of CD's path.
+func fitLambda(c *CD, d basis.Design, f []float64, mu float64) (*Model, error) {
+	if err := checkProblem(d, f, 1); err != nil {
+		return nil, err
+	}
+	if mu < 0 {
+		return nil, fmt.Errorf("core: CD penalty μ=%g must be non-negative", mu)
+	}
+	st := newCDState(d, f, NewEngine(0))
+	st.l2 = c.L2 / float64(d.Rows())
+	if err := st.solve(nil, mu, c.sweeps(), c.tol()); err != nil {
+		return nil, err
+	}
+	return st.model(d, f, c.Refit), nil
+}
+
 func TestCDRecoversSparseSupport(t *testing.T) {
 	support := []int{4, 19, 55}
 	coefs := []float64{3, -2, 1.5}
 	_, d, f, _ := synthProblem(80, 70, 120, false, support, coefs, 0.01)
-	model, err := (&CD{Refit: true}).Fit(d, f, 3)
+	model, err := fitFinal(&CD{Refit: true}, d, f, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +63,11 @@ func TestCDMatchesLassoLAR(t *testing.T) {
 	support := []int{2, 11, 27}
 	coefs := []float64{2, -1.2, 0.8}
 	_, d, f, _ := synthProblem(81, 40, 90, false, support, coefs, 0.05)
-	cd, err := (&CD{Refit: true}).Fit(d, f, 3)
+	cd, err := fitFinal(&CD{Refit: true}, d, f, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lar, err := (&LAR{Lasso: true, Refit: true}).Fit(d, f, 3)
+	lar, err := fitFinal(&LAR{Lasso: true, Refit: true}, d, f, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +93,7 @@ func TestCDFitLambdaKKT(t *testing.T) {
 	// for inactive j, |(1/K)G_jᵀres| ≤ μ.
 	_, d, f, _ := synthProblem(82, 30, 60, false, []int{3, 14}, []float64{2, -1}, 0.1)
 	const mu = 0.05
-	model, err := (&CD{}).FitLambda(d, f, mu)
+	model, err := fitLambda(&CD{}, d, f, mu)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +127,11 @@ func TestCDFitLambdaKKT(t *testing.T) {
 
 func TestCDShrinkageTowardZero(t *testing.T) {
 	_, d, f, _ := synthProblem(83, 25, 60, false, []int{5, 12}, []float64{2, -1.5}, 0.05)
-	plain, err := (&CD{}).Fit(d, f, 2)
+	plain, err := fitFinal(&CD{}, d, f, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refit, err := (&CD{Refit: true}).Fit(d, f, 2)
+	refit, err := fitFinal(&CD{Refit: true}, d, f, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +161,7 @@ func TestCDPathInCrossValidation(t *testing.T) {
 
 func TestCDValidation(t *testing.T) {
 	_, d, f, _ := synthProblem(85, 10, 20, false, []int{0}, []float64{1}, 0)
-	if _, err := (&CD{}).FitLambda(d, f, -1); err == nil {
+	if _, err := fitLambda(&CD{}, d, f, -1); err == nil {
 		t.Error("negative μ must error")
 	}
 	if _, err := (&CD{}).FitPath(d, f, 0); err == nil {
@@ -239,11 +257,11 @@ func TestCDElasticNetGroupsCorrelatedColumns(t *testing.T) {
 	}
 	d := basis.DenseDesignFromMatrix(linalg.NewMatrixFrom(r))
 	const mu = 0.02
-	lasso, err := (&CD{}).FitLambda(d, f, mu)
+	lasso, err := fitLambda(&CD{}, d, f, mu)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enet, err := (&CD{L2: 50}).FitLambda(d, f, mu)
+	enet, err := fitLambda(&CD{L2: 50}, d, f, mu)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -204,30 +202,4 @@ func (ck *FitCheckpoint) prefixModels() bool {
 		}
 	}
 	return true
-}
-
-// WriteCheckpoint serializes the checkpoint in the current versioned
-// format, validating first so unwritable state never reaches disk.
-func WriteCheckpoint(w io.Writer, ck *FitCheckpoint) error {
-	if ck == nil {
-		return fmt.Errorf("core: nil checkpoint")
-	}
-	if err := ck.Validate(); err != nil {
-		return err
-	}
-	return json.NewEncoder(w).Encode(ck)
-}
-
-// ReadCheckpoint parses and validates a serialized fit checkpoint. Corrupt
-// or truncated input returns an error, never a panic — the registry
-// quarantines such files, and FuzzReadCheckpoint pins the contract.
-func ReadCheckpoint(r io.Reader) (*FitCheckpoint, error) {
-	var ck FitCheckpoint
-	if err := json.NewDecoder(r).Decode(&ck); err != nil {
-		return nil, fmt.Errorf("core: decode checkpoint: %w", err)
-	}
-	if err := ck.Validate(); err != nil {
-		return nil, err
-	}
-	return &ck, nil
 }

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -45,19 +45,22 @@ func comparePaths(t *testing.T, label string, got, want *Path) {
 	}
 }
 
-// roundTripCheckpoint pushes the checkpoint through its serialized form,
-// exactly as the registry stores it.
+// roundTripCheckpoint pushes the checkpoint through its JSON form, as the
+// registry stores it inside its checkpoint wrapper, and validates it there.
 func roundTripCheckpoint(t *testing.T, ck *FitCheckpoint) *FitCheckpoint {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, ck); err != nil {
+	blob, err := json.Marshal(ck)
+	if err != nil {
 		t.Fatalf("write checkpoint: %v", err)
 	}
-	back, err := ReadCheckpoint(&buf)
-	if err != nil {
+	var back FitCheckpoint
+	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatalf("read checkpoint: %v", err)
 	}
-	return back
+	if err := back.Validate(); err != nil {
+		t.Fatalf("read checkpoint: %v", err)
+	}
+	return &back
 }
 
 // TestCheckpointResumeMatchesUninterrupted is the core property test: for
@@ -76,7 +79,7 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 			}
 
 			plan := &CheckpointPlan{After: 2}
-			partial, err := FitPathContext(WithCheckpointPlan(context.Background(), plan), fitter, p.d, p.f, equivalenceMaxLambda)
+			partial, err := fitPathContext(WithCheckpointPlan(context.Background(), plan), fitter, p.d, p.f, equivalenceMaxLambda)
 			if err != nil {
 				t.Fatalf("%s interrupted: %v", label, err)
 			}
@@ -88,7 +91,7 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 			}
 
 			ck := roundTripCheckpoint(t, plan.CK)
-			got, err := FitPathContext(WithResumeCheckpoint(context.Background(), ck), fitter, p.d, p.f, equivalenceMaxLambda)
+			got, err := fitPathContext(WithResumeCheckpoint(context.Background(), ck), fitter, p.d, p.f, equivalenceMaxLambda)
 			if err != nil {
 				t.Fatalf("%s resume: %v", label, err)
 			}
@@ -102,13 +105,13 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 func TestCheckpointResumeRejectsWrongSolver(t *testing.T) {
 	p := equivalenceProblems()["linear-noiseless"]
 	plan := &CheckpointPlan{After: 1}
-	if _, err := FitPathContext(WithCheckpointPlan(context.Background(), plan), &OMP{}, p.d, p.f, 4); err != nil {
+	if _, err := fitPathContext(WithCheckpointPlan(context.Background(), plan), &OMP{}, p.d, p.f, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FitPathContext(WithResumeCheckpoint(context.Background(), plan.CK), &STAR{}, p.d, p.f, 4); err == nil {
+	if _, err := fitPathContext(WithResumeCheckpoint(context.Background(), plan.CK), &STAR{}, p.d, p.f, 4); err == nil {
 		t.Fatal("STAR accepted an OMP checkpoint")
 	}
-	if _, err := FitPathContext(WithResumeCheckpoint(context.Background(), plan.CK), &CD{}, p.d, p.f, 4); err == nil {
+	if _, err := fitPathContext(WithResumeCheckpoint(context.Background(), plan.CK), &CD{}, p.d, p.f, 4); err == nil {
 		t.Fatal("CD accepted an OMP checkpoint")
 	}
 }
@@ -136,12 +139,12 @@ func TestCheckpointAppendRowsMatchesColdRefit(t *testing.T) {
 	for _, fitter := range []ContextFitter{&OMP{}, &StOMP{}} {
 		label := fitter.Name()
 		plan := &CheckpointPlan{} // After == 0: capture at the natural end
-		if _, err := FitPathContext(WithCheckpointPlan(context.Background(), plan), fitter, parentD, parentF, 4); err != nil {
+		if _, err := fitPathContext(WithCheckpointPlan(context.Background(), plan), fitter, parentD, parentF, 4); err != nil {
 			t.Fatalf("%s parent fit: %v", label, err)
 		}
 		ck := roundTripCheckpoint(t, plan.CK)
 
-		got, err := FitPathContext(WithResumeCheckpoint(context.Background(), ck), fitter, allD, allF, 4)
+		got, err := fitPathContext(WithResumeCheckpoint(context.Background(), ck), fitter, allD, allF, 4)
 		if err != nil {
 			t.Fatalf("%s grown resume: %v", label, err)
 		}
@@ -170,19 +173,19 @@ func TestCheckpointAppendRowsRejectedWhereInvalid(t *testing.T) {
 	parentD, parentF, allD, allF := appendProblem(t, 60, 75)
 	for _, fitter := range []ContextFitter{&LAR{}, &CD{}, &STAR{}} {
 		plan := &CheckpointPlan{}
-		if _, err := FitPathContext(WithCheckpointPlan(context.Background(), plan), fitter, parentD, parentF, 4); err != nil {
+		if _, err := fitPathContext(WithCheckpointPlan(context.Background(), plan), fitter, parentD, parentF, 4); err != nil {
 			t.Fatalf("%s parent fit: %v", fitter.Name(), err)
 		}
-		if _, err := FitPathContext(WithResumeCheckpoint(context.Background(), plan.CK), fitter, allD, allF, 4); err == nil {
+		if _, err := fitPathContext(WithResumeCheckpoint(context.Background(), plan.CK), fitter, allD, allF, 4); err == nil {
 			t.Errorf("%s accepted a grown design on resume", fitter.Name())
 		}
 	}
 	// Shrunk design: fewer rows than the checkpoint — invalid for everyone.
 	plan := &CheckpointPlan{}
-	if _, err := FitPathContext(WithCheckpointPlan(context.Background(), plan), &OMP{}, allD, allF, 4); err != nil {
+	if _, err := fitPathContext(WithCheckpointPlan(context.Background(), plan), &OMP{}, allD, allF, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FitPathContext(WithResumeCheckpoint(context.Background(), plan.CK), &OMP{}, parentD, parentF, 4); err == nil {
+	if _, err := fitPathContext(WithResumeCheckpoint(context.Background(), plan.CK), &OMP{}, parentD, parentF, 4); err == nil {
 		t.Error("OMP accepted a shrunk design on resume")
 	}
 }
@@ -199,7 +202,7 @@ func TestWarmStartReplay(t *testing.T) {
 	}
 	warm := cold.Models[len(cold.Models)-1]
 
-	got, err := FitPathContext(WithWarmStart(context.Background(), warm), &OMP{}, allD, allF, 4)
+	got, err := fitPathContext(WithWarmStart(context.Background(), warm), &OMP{}, allD, allF, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,12 +224,12 @@ func TestWarmStartReplay(t *testing.T) {
 
 	// A warm start whose dictionary does not match is an error.
 	bad := &Model{M: warm.M + 1, Support: []int{0}, Coef: []float64{1}}
-	if _, err := FitPathContext(WithWarmStart(context.Background(), bad), &OMP{}, allD, allF, 4); err == nil {
+	if _, err := fitPathContext(WithWarmStart(context.Background(), bad), &OMP{}, allD, allF, 4); err == nil {
 		t.Error("warm start with mismatched dictionary accepted")
 	}
 	// Out-of-range or stale support entries are skipped, not fatal.
 	stale := &Model{M: warm.M, Support: []int{warm.Support[0], warm.M - 1}, Coef: []float64{1, 1}}
-	if _, err := FitPathContext(WithWarmStart(context.Background(), stale), &OMP{}, allD, allF, 4); err != nil {
+	if _, err := fitPathContext(WithWarmStart(context.Background(), stale), &OMP{}, allD, allF, 4); err != nil {
 		t.Errorf("warm start with skippable support failed: %v", err)
 	}
 }
@@ -259,80 +262,6 @@ func TestCrossValidateScrubsCheckpointState(t *testing.T) {
 	if cv2.Model == nil {
 		t.Fatal("warm CV returned no model")
 	}
-}
-
-// FuzzReadCheckpoint drives the checkpoint parser — the registry's
-// crash-recovery read surface — with arbitrary bytes. Invariants: never
-// panic, an accepted checkpoint re-validates, and it survives a write/read
-// round trip.
-func FuzzReadCheckpoint(f *testing.F) {
-	valid := func() []byte {
-		p := equivalenceProblems()["linear-noiseless"]
-		plan := &CheckpointPlan{After: 2}
-		if _, err := FitPathContext(WithCheckpointPlan(context.Background(), plan), &OMP{}, p.d, p.f, 4); err != nil {
-			f.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := WriteCheckpoint(&buf, plan.CK); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
-	}()
-
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])                                                                   // truncated mid-object
-	f.Add([]byte(`{"version":1,"solver":"OMP","k":2,"m":3,"max_lambda":1,"residual":[1,2]}`))     // minimal valid
-	f.Add([]byte(`{"version":99,"solver":"OMP","k":2,"m":3,"max_lambda":1,"residual":[1,2]}`))    // future version
-	f.Add([]byte(`{"version":0,"solver":"OMP","k":2,"m":3,"max_lambda":1,"residual":[1,2]}`))     // zero version
-	f.Add([]byte(`{"version":1,"solver":"","k":2,"m":3,"max_lambda":1,"residual":[1,2]}`))        // nameless solver
-	f.Add([]byte(`{"version":1,"solver":"OMP","k":2,"m":3,"max_lambda":1,"residual":[1]}`))       // residual/K mismatch
-	f.Add([]byte(`{"version":1,"solver":"OMP","k":2,"m":3,"max_lambda":1,"residual":[1,1e999]}`)) // overflowing residual
-	f.Add([]byte(`{"version":1,"solver":"OMP","k":2,"m":3,"max_lambda":1,"residual":[1,2],` +
-		`"support":[1,1]}`)) // duplicate support
-	f.Add([]byte(`{"version":1,"solver":"OMP","k":2,"m":3,"max_lambda":1,"residual":[1,2],` +
-		`"support":[7]}`)) // support out of range
-	f.Add([]byte(`{"version":1,"solver":"OMP","k":2,"m":3,"max_lambda":1,"residual":[1,2],` +
-		`"support":[0],"gtf":[1,2]}`)) // gtf/support mismatch
-	f.Add([]byte(`{"version":1,"solver":"OMP","k":2,"m":3,"max_lambda":1,"residual":[1,2],` +
-		`"support":[0,2],"gtf":[1,2],"chol_l":[1,0]}`)) // short factor
-	f.Add([]byte(`{"version":1,"solver":"OMP","k":2,"m":3,"max_lambda":1,"residual":[1,2],` +
-		`"models":[{"m":3,"support":[0],"coef":[1]}]}`)) // models without res_norms
-	f.Add([]byte(`{"version":1,"solver":"OMP","k":2,"m":3,"max_lambda":1,"residual":[1,2],` +
-		`"models":[null],"res_norms":[1]}`)) // null model
-	f.Add([]byte(`{"version":1,"solver":"CD","k":2,"m":3,"max_lambda":1,"residual":[1,2],` +
-		`"alpha_idx":[0,0],"alpha_val":[1,2]}`)) // duplicate alpha index
-	f.Add([]byte(`{"version":1,"solver":"CD","k":2,"m":3,"max_lambda":1,"residual":[1,2],` +
-		`"alpha_idx":[1],"alpha_val":[1,2]}`)) // alpha idx/val mismatch
-	f.Add([]byte(`{"version":1,"solver":"CD","k":2,"m":3,"max_lambda":1,"residual":[1,2],"mu":-1}`)) // negative grid
-	f.Add([]byte(`{"version":1,"solver":"StOMP","k":2,"m":3,"max_lambda":1,"residual":[1,2],` +
-		`"stage":-3}`)) // negative stage
-	f.Add([]byte(`{"version":1,"solver":"OMP","k":-5,"m":3,"max_lambda":1,"residual":[]}`)) // negative K
-	f.Add([]byte(`{}`))
-	f.Add([]byte(``))
-	f.Add([]byte(`null`))
-	f.Add([]byte(`[1,2,3]`))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ck, err := ReadCheckpoint(bytes.NewReader(data))
-		if err != nil {
-			return // rejected input is the expected outcome; it must just not panic
-		}
-		if err := ck.Validate(); err != nil {
-			t.Fatalf("accepted checkpoint fails Validate: %v\ninput: %q", err, data)
-		}
-		var buf bytes.Buffer
-		if err := WriteCheckpoint(&buf, ck); err != nil {
-			t.Fatalf("accepted checkpoint fails to re-serialize: %v\ninput: %q", err, data)
-		}
-		back, err := ReadCheckpoint(&buf)
-		if err != nil {
-			t.Fatalf("round trip fails to parse: %v\nre-serialized: %q", err, buf.Bytes())
-		}
-		if back.Solver != ck.Solver || back.K != ck.K || back.M != ck.M ||
-			len(back.Support) != len(ck.Support) || len(back.Models) != len(ck.Models) {
-			t.Fatalf("round trip changed the checkpoint: %+v -> %+v", ck, back)
-		}
-	})
 }
 
 // BenchmarkRefineWarmVsCold measures the tentpole speedup at paper scale:

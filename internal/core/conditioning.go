@@ -7,45 +7,6 @@ import (
 	"repro/internal/linalg"
 )
 
-// Coherence returns the mutual coherence of the design matrix: the largest
-// absolute normalized inner product between two distinct columns,
-//
-//	µ(G) = max_{i≠j} |G_iᵀG_j| / (‖G_i‖·‖G_j‖).
-//
-// Mutual coherence is the standard compressed-sensing well-conditionedness
-// measure behind the paper's Section IV-B recovery guarantee (Tropp &
-// Gilbert): low coherence means random sampling kept the basis vectors
-// nearly orthogonal, so OMP can identify the true support from K ≪ M
-// samples. It costs O(K·M²) — use it as a diagnostic, not in solver loops.
-func Coherence(d basis.Design) float64 {
-	m := d.Cols()
-	if m < 2 {
-		return 0
-	}
-	cols := make([][]float64, m)
-	norms := make([]float64, m)
-	for j := 0; j < m; j++ {
-		cols[j] = d.Column(nil, j)
-		norms[j] = linalg.Norm2(cols[j])
-	}
-	max := 0.0
-	for i := 0; i < m; i++ {
-		if norms[i] == 0 {
-			continue
-		}
-		for j := i + 1; j < m; j++ {
-			if norms[j] == 0 {
-				continue
-			}
-			c := math.Abs(linalg.Dot(cols[i], cols[j])) / (norms[i] * norms[j])
-			if c > max {
-				max = c
-			}
-		}
-	}
-	return max
-}
-
 // GramConditionEstimate returns the 2-norm condition number of the
 // normalized Gram matrix of the given support columns, estimated by power
 // iteration on the Gram and its inverse (via Cholesky). It measures how

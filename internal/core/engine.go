@@ -505,7 +505,7 @@ func (as *ActiveSet) errDegenerateNoSelection() error {
 }
 
 // checkProblem is the engine's single input validator, shared by every
-// fitter (sparse strategies, LS, Ridge, SelectIC, CrossValidate).
+// fitter (sparse strategies, LS, SelectIC, CrossValidate).
 func checkProblem(d basis.Design, f []float64, maxLambda int) error {
 	if d.Rows() != len(f) {
 		return fmt.Errorf("core: design has %d rows but response has %d entries", d.Rows(), len(f))

@@ -90,7 +90,7 @@ const (
 )
 
 // WithFitObserver arranges for solver path fits run under ctx (through
-// FitPathContext, CrossValidateCtx, or any ContextFitter) to report each
+// CrossValidateCtx or any ContextFitter) to report each
 // iteration to obs.
 func WithFitObserver(ctx context.Context, obs FitObserver) context.Context {
 	return context.WithValue(ctx, observerCtxKey, obs)
@@ -281,17 +281,11 @@ type ContextFitter interface {
 	FitPathCtx(fc *FitContext, d basis.Design, f []float64, maxLambda int) (*Path, error)
 }
 
-// FitPathContext runs fitter's path fit under ctx. Solvers implementing
+// fitPathWithEngine runs fitter's path fit under ctx. Solvers implementing
 // ContextFitter are canceled cooperatively mid-fit; for foreign fitters the
-// context is only checked up front.
-func FitPathContext(ctx context.Context, fitter PathFitter, d basis.Design, f []float64, maxLambda int) (*Path, error) {
-	return fitPathWithEngine(ctx, nil, fitter, d, f, maxLambda)
-}
-
-// fitPathWithEngine is FitPathContext with an optional pre-built engine,
-// letting a cross-validation lane (lockstep.go) hand the fit an engine whose
-// sweeps go through the lockstep driver. A nil eng falls back to lazy
-// per-fit creation.
+// context is only checked up front. A cross-validation lane (lockstep.go)
+// passes the engine whose sweeps go through the lockstep driver; a nil eng
+// falls back to lazy per-fit creation.
 func fitPathWithEngine(ctx context.Context, eng *Engine, fitter PathFitter, d basis.Design, f []float64, maxLambda int) (*Path, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -37,15 +37,6 @@ type LAR struct {
 // Name implements PathFitter.
 func (l *LAR) Name() string { return "LAR" }
 
-// Fit runs LAR until lambda basis functions are active.
-func (l *LAR) Fit(d basis.Design, f []float64, lambda int) (*Model, error) {
-	path, err := l.FitPath(d, f, lambda)
-	if err != nil {
-		return nil, err
-	}
-	return path.Models[len(path.Models)-1], nil
-}
-
 // FitPath implements PathFitter.
 func (l *LAR) FitPath(d basis.Design, f []float64, maxLambda int) (*Path, error) {
 	return l.FitPathCtx(nil, d, f, maxLambda)

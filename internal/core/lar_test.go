@@ -76,11 +76,11 @@ func TestLARShrinkage(t *testing.T) {
 	// LAR path coefficients are shrunken toward zero relative to the LS
 	// refit on the same support — the L1 bias.
 	_, d, f, _ := synthProblem(52, 40, 70, false, []int{3, 12}, []float64{2, -3}, 0.05)
-	plain, err := (&LAR{}).Fit(d, f, 2)
+	plain, err := fitFinal(&LAR{}, d, f, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refit, err := (&LAR{Refit: true}).Fit(d, f, 2)
+	refit, err := fitFinal(&LAR{Refit: true}, d, f, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestLARShrinkage(t *testing.T) {
 
 func TestLARRefitMatchesOMPOnSameSupport(t *testing.T) {
 	_, d, f, _ := synthProblem(53, 50, 90, false, []int{7, 19, 40}, []float64{1, 2, -1}, 0)
-	lar, err := (&LAR{Refit: true}).Fit(d, f, 3)
+	lar, err := fitFinal(&LAR{Refit: true}, d, f, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestLARGeneralization(t *testing.T) {
 	coefs := []float64{2, 1, -1.5}
 	_, dTrain, fTrain, _ := synthProblem(56, 40, 120, false, support, coefs, 0.05)
 	_, dTest, fTest, _ := synthProblem(57, 40, 1500, false, support, coefs, 0)
-	model, err := (&LAR{Refit: true}).Fit(dTrain, fTrain, 3)
+	model, err := fitFinal(&LAR{Refit: true}, dTrain, fTrain, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,6 @@ import (
 // Section V.
 type LS struct{}
 
-// Name identifies the solver in reports.
-func (LS) Name() string { return "LS" }
-
 // Fit solves the full least-squares problem. The returned model has every
 // basis function in its support.
 func (LS) Fit(d basis.Design, f []float64, _ int) (*Model, error) {

@@ -14,7 +14,7 @@ func collectEvents(t *testing.T, fitter PathFitter, maxLambda int) []FitEvent {
 	_, d, f, _ := synthProblem(7, 50, 40, false, support, coefs, 0)
 	var events []FitEvent
 	ctx := WithFitObserver(context.Background(), func(ev FitEvent) { events = append(events, ev) })
-	if _, err := FitPathContext(ctx, fitter, d, f, maxLambda); err != nil {
+	if _, err := fitPathContext(ctx, fitter, d, f, maxLambda); err != nil {
 		t.Fatalf("%s: %v", fitter.Name(), err)
 	}
 	return events
@@ -133,7 +133,7 @@ func TestObserverNilSafety(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A context without an observer exercises the no-op path.
-	if _, err := FitPathContext(context.Background(), &OMP{}, d, f, 1); err != nil {
+	if _, err := fitPathContext(context.Background(), &OMP{}, d, f, 1); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -319,7 +319,7 @@ func TestOMPGeneralizationBeatsSTARAndNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	starModel, err := (&STAR{}).Fit(dTrain, fTrain, 4)
+	starModel, err := fitFinal(&STAR{}, dTrain, fTrain, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

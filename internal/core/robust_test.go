@@ -112,7 +112,7 @@ func TestFitPathContextCancellation(t *testing.T) {
 	cancel()
 	for name, s := range solversUnderTest() {
 		start := time.Now()
-		_, err := FitPathContext(ctx, s, d, f, 100)
+		_, err := fitPathContext(ctx, s, d, f, 100)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", name, err)
 		}
@@ -128,7 +128,7 @@ func TestFitPathContextMidFitDeadline(t *testing.T) {
 	d, f := denseProblem(t, 600, 200)
 	for name, s := range solversUnderTest() {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-		_, err := FitPathContext(ctx, s, d, f, 180)
+		_, err := fitPathContext(ctx, s, d, f, 180)
 		cancel()
 		if err == nil {
 			// The box may genuinely finish a fold in under 1ms; tolerate it

@@ -191,17 +191,6 @@ func (m *Model) WriteJSON(w io.Writer) error {
 	return json.NewEncoder(w).Encode(envelopeJSON{M: m.M, Support: m.Support, Coef: m.Coef})
 }
 
-// ReadModelJSON parses a model written by WriteJSON or WriteEnvelope and
-// validates its internal consistency, discarding any basis/provenance
-// metadata.
-func ReadModelJSON(r io.Reader) (*Model, error) {
-	e, err := ReadEnvelope(r)
-	if err != nil {
-		return nil, err
-	}
-	return e.Model, nil
-}
-
 // validateModel checks the sparse coefficient structure.
 func validateModel(m *Model) error {
 	if len(m.Support) != len(m.Coef) {

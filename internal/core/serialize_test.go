@@ -69,7 +69,7 @@ func TestReadEnvelopeAcceptsLegacyForm(t *testing.T) {
 	if strings.Contains(buf.String(), "version") {
 		t.Fatalf("WriteJSON should emit the legacy layout, got %s", buf.String())
 	}
-	if _, err := ReadModelJSON(&buf); err != nil {
+	if _, err := ReadEnvelope(&buf); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -10,6 +11,20 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/stats"
 )
+
+// fitPathContext runs fitter's path fit under ctx with a per-fit engine.
+func fitPathContext(ctx context.Context, fitter PathFitter, d basis.Design, f []float64, maxLambda int) (*Path, error) {
+	return fitPathWithEngine(ctx, nil, fitter, d, f, maxLambda)
+}
+
+// fitFinal fits a path of up to lambda bases and returns its last model.
+func fitFinal(fitter PathFitter, d basis.Design, f []float64, lambda int) (*Model, error) {
+	path, err := fitter.FitPath(d, f, lambda)
+	if err != nil {
+		return nil, err
+	}
+	return path.Models[len(path.Models)-1], nil
+}
 
 func TestSTARCoefficientIsInnerProduct(t *testing.T) {
 	// STAR's first coefficient must equal ρ_s = (1/K)·G_sᵀ·F exactly
@@ -215,10 +230,11 @@ func TestModelJSONRoundTrip(t *testing.T) {
 	if err := m.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadModelJSON(&buf)
+	env, err := ReadEnvelope(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	back := env.Model
 	if back.M != m.M || len(back.Support) != 3 {
 		t.Fatalf("round trip lost data: %+v", back)
 	}
@@ -238,7 +254,7 @@ func TestReadModelJSONRejectsCorrupt(t *testing.T) {
 		"not json":           `nope`,
 	}
 	for name, in := range cases {
-		if _, err := ReadModelJSON(strings.NewReader(in)); err == nil {
+		if _, err := ReadEnvelope(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}

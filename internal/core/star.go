@@ -27,15 +27,6 @@ type STAR struct {
 // Name implements PathFitter.
 func (s *STAR) Name() string { return "STAR" }
 
-// Fit runs STAR for a fixed sparsity budget λ.
-func (s *STAR) Fit(d basis.Design, f []float64, lambda int) (*Model, error) {
-	path, err := s.FitPath(d, f, lambda)
-	if err != nil {
-		return nil, err
-	}
-	return path.Models[len(path.Models)-1], nil
-}
-
 // FitPath implements PathFitter.
 func (s *STAR) FitPath(d basis.Design, f []float64, maxLambda int) (*Path, error) {
 	return s.FitPathCtx(nil, d, f, maxLambda)

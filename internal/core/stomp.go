@@ -48,15 +48,6 @@ func (s *StOMP) stages() int {
 	return 10
 }
 
-// Fit runs StOMP until at most lambda bases are active.
-func (s *StOMP) Fit(d basis.Design, f []float64, lambda int) (*Model, error) {
-	path, err := s.FitPath(d, f, lambda)
-	if err != nil {
-		return nil, err
-	}
-	return path.Models[len(path.Models)-1], nil
-}
-
 // FitPath implements PathFitter. Unlike OMP's strictly-nested path, each
 // recorded model corresponds to one stage; intermediate sparsity levels
 // reuse the stage model that covers them.

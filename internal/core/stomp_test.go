@@ -11,7 +11,7 @@ func TestStOMPRecoversSparseSupport(t *testing.T) {
 	support := []int{6, 23, 48, 71}
 	coefs := []float64{3, -2, 1.5, 1}
 	_, d, f, alpha := synthProblem(90, 80, 120, false, support, coefs, 0)
-	model, err := (&StOMP{}).Fit(d, f, 10)
+	model, err := fitFinal(&StOMP{}, d, f, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestStOMPResidualDecreases(t *testing.T) {
 
 func TestStOMPRespectsLambdaCap(t *testing.T) {
 	_, d, f, _ := synthProblem(93, 50, 80, false, []int{1, 5, 9, 13}, []float64{1, 1, 1, 1}, 0.3)
-	model, err := (&StOMP{Threshold: 0.5}).Fit(d, f, 6) // low threshold admits many
+	model, err := fitFinal(&StOMP{Threshold: 0.5}, d, f, 6) // low threshold admits many
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestStOMPGeneralizationComparableToOMP(t *testing.T) {
 	coefs := []float64{2, -1.5, 1}
 	_, dTrain, fTrain, _ := synthProblem(94, 60, 150, false, support, coefs, 0.05)
 	_, dTest, fTest, _ := synthProblem(95, 60, 1500, false, support, coefs, 0)
-	st, err := (&StOMP{}).Fit(dTrain, fTrain, 10)
+	st, err := fitFinal(&StOMP{}, dTrain, fTrain, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

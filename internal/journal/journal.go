@@ -601,9 +601,6 @@ func (j *Journal) writeSnapshot(f *os.File) (int64, error) {
 // rsmd_journal_degraded gauge off.
 func (j *Journal) Degraded() bool { return j.degraded.Load() }
 
-// Dir returns the journal directory.
-func (j *Journal) Dir() string { return j.dir }
-
 // Close syncs and closes the active segment. Appends after Close fail.
 func (j *Journal) Close() error {
 	j.mu.Lock()

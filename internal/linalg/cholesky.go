@@ -41,9 +41,6 @@ func CholeskyFactor(a *Matrix) (*Cholesky, error) {
 	return c, nil
 }
 
-// Size returns the current dimension of the factored matrix.
-func (c *Cholesky) Size() int { return c.n }
-
 // rowAt returns the packed slice for row i of L.
 func (c *Cholesky) rowAt(i int) []float64 {
 	start := i * (i + 1) / 2
@@ -192,16 +189,6 @@ func (c *Cholesky) SolveLeading(j int, b []float64) ([]float64, error) {
 	return sub.Solve(b)
 }
 
-// Shrink drops the last k rows/columns of the factored matrix. This exactly
-// undoes k Append calls.
-func (c *Cholesky) Shrink(k int) {
-	if k < 0 || k > c.n {
-		panic(fmt.Sprintf("linalg: Cholesky.Shrink(%d) on size %d", k, c.n))
-	}
-	c.n -= k
-	c.l = c.l[:c.n*(c.n+1)/2]
-}
-
 // Solve solves A·x = b given A = L·Lᵀ. b is not modified.
 func (c *Cholesky) Solve(b []float64) ([]float64, error) {
 	if len(b) != c.n {
@@ -226,30 +213,4 @@ func (c *Cholesky) Solve(b []float64) ([]float64, error) {
 		x[i] = s / c.rowAt(i)[i]
 	}
 	return x, nil
-}
-
-// SolveLower solves L·y = b by forward substitution. b is not modified.
-func (c *Cholesky) SolveLower(b []float64) ([]float64, error) {
-	if len(b) != c.n {
-		return nil, fmt.Errorf("linalg: Cholesky.SolveLower rhs length %d, want %d", len(b), c.n)
-	}
-	y := Clone(b)
-	for i := 0; i < c.n; i++ {
-		ri := c.rowAt(i)
-		s := y[i]
-		for j := 0; j < i; j++ {
-			s -= ri[j] * y[j]
-		}
-		y[i] = s / ri[i]
-	}
-	return y, nil
-}
-
-// L returns the lower-triangular factor as a dense matrix.
-func (c *Cholesky) L() *Matrix {
-	m := NewMatrix(c.n, c.n)
-	for i := 0; i < c.n; i++ {
-		copy(m.Row(i)[:i+1], c.rowAt(i))
-	}
-	return m
 }

@@ -21,12 +21,6 @@ func NewCMatrix(rows, cols int) *CMatrix {
 	return &CMatrix{Rows: rows, Cols: cols, Data: make([]complex128, rows*cols)}
 }
 
-// At returns element (i, j).
-func (m *CMatrix) At(i, j int) complex128 { return m.Data[i*m.Cols+j] }
-
-// Set assigns element (i, j).
-func (m *CMatrix) Set(i, j int, v complex128) { m.Data[i*m.Cols+j] = v }
-
 // Add accumulates into element (i, j).
 func (m *CMatrix) Add(i, j int, v complex128) { m.Data[i*m.Cols+j] += v }
 

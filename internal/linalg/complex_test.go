@@ -10,7 +10,7 @@ import (
 func TestSolveComplexKnownSystem(t *testing.T) {
 	// (1+i)x = 2i → x = 2i/(1+i) = 1+i.
 	a := NewCMatrix(1, 1)
-	a.Set(0, 0, complex(1, 1))
+	a.Add(0, 0, complex(1, 1))
 	x, err := SolveComplex(a, []complex128{complex(0, 2)})
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +26,7 @@ func TestSolveComplexRandomRoundTrip(t *testing.T) {
 	a := NewCMatrix(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			a.Set(i, j, complex(r.NormFloat64(), r.NormFloat64()))
+			a.Add(i, j, complex(r.NormFloat64(), r.NormFloat64()))
 		}
 	}
 	xTrue := make([]complex128, n)
@@ -38,7 +38,7 @@ func TestSolveComplexRandomRoundTrip(t *testing.T) {
 	for i := 0; i < n; i++ {
 		s := complex(0, 0)
 		for j := 0; j < n; j++ {
-			s += a.At(i, j) * xTrue[j]
+			s += a.Data[i*a.Cols+j] * xTrue[j]
 		}
 		b[i] = s
 	}
@@ -59,9 +59,9 @@ func TestSolveComplexRandomRoundTrip(t *testing.T) {
 
 func TestSolveComplexNeedsPivoting(t *testing.T) {
 	a := NewCMatrix(2, 2)
-	a.Set(0, 1, 2) // zero diagonal pivot at (0,0)
-	a.Set(1, 0, 1)
-	a.Set(1, 1, 1)
+	a.Add(0, 1, 2) // zero diagonal pivot at (0,0)
+	a.Add(1, 0, 1)
+	a.Add(1, 1, 1)
 	x, err := SolveComplex(a, []complex128{4, 3})
 	if err != nil {
 		t.Fatal(err)
@@ -73,10 +73,10 @@ func TestSolveComplexNeedsPivoting(t *testing.T) {
 
 func TestSolveComplexSingular(t *testing.T) {
 	a := NewCMatrix(2, 2)
-	a.Set(0, 0, 1)
-	a.Set(0, 1, 2)
-	a.Set(1, 0, 2)
-	a.Set(1, 1, 4)
+	a.Add(0, 0, 1)
+	a.Add(0, 1, 2)
+	a.Add(1, 0, 2)
+	a.Add(1, 1, 4)
 	if _, err := SolveComplex(a, []complex128{1, 2}); !errors.Is(err, ErrSingular) {
 		t.Fatalf("got %v, want ErrSingular", err)
 	}
@@ -95,11 +95,11 @@ func TestCMatrixAccessors(t *testing.T) {
 	m := NewCMatrix(2, 2)
 	m.Add(0, 1, complex(1, 2))
 	m.Add(0, 1, complex(1, -1))
-	if m.At(0, 1) != complex(2, 1) {
-		t.Errorf("Add accumulate wrong: %v", m.At(0, 1))
+	if m.Data[0*m.Cols+1] != complex(2, 1) {
+		t.Errorf("Add accumulate wrong: %v", m.Data[0*m.Cols+1])
 	}
 	m.Reset()
-	if m.At(0, 1) != 0 {
+	if m.Data[0*m.Cols+1] != 0 {
 		t.Error("Reset did not zero")
 	}
 }
@@ -111,29 +111,4 @@ func TestCMatrixNegativePanics(t *testing.T) {
 		}
 	}()
 	NewCMatrix(-1, 1)
-}
-
-func TestCholeskySolveLower(t *testing.T) {
-	// L from a known SPD matrix; L·y = b must invert forward substitution.
-	g := NewMatrixFrom([][]float64{{2, 0}, {1, 1}, {0, 2}})
-	chol, err := CholeskyFactor(g.Gram())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := []float64{3, -1}
-	y, err := chol.SolveLower(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Verify L·y = b.
-	l := chol.L()
-	back := l.MulVec(nil, y)
-	for i := range b {
-		if !almostEq(back[i], b[i], 1e-12) {
-			t.Errorf("L·y[%d] = %g, want %g", i, back[i], b[i])
-		}
-	}
-	if _, err := chol.SolveLower([]float64{1}); err == nil {
-		t.Error("length mismatch must error")
-	}
 }

@@ -93,12 +93,3 @@ func (lu *LU) Solve(b []float64) ([]float64, error) {
 	}
 	return x, nil
 }
-
-// SolveSquare solves the square system A·x = b via LU with partial pivoting.
-func SolveSquare(a *Matrix, b []float64) ([]float64, error) {
-	lu, err := LUFactor(a)
-	if err != nil {
-		return nil, err
-	}
-	return lu.Solve(b)
-}

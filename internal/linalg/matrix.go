@@ -8,10 +8,7 @@
 // a few hundred columns, and small-to-medium square MNA systems.
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Matrix is a dense row-major matrix.
 type Matrix struct {
@@ -81,18 +78,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j*out.Cols+i] = v
-		}
-	}
-	return out
-}
-
 // MulVec computes dst = m · x. dst is allocated when nil; it must not alias x.
 func (m *Matrix) MulVec(dst, x []float64) []float64 {
 	if len(x) != m.Cols {
@@ -130,64 +115,4 @@ func (m *Matrix) MulTransVec(dst, x []float64) []float64 {
 		}
 	}
 	return dst
-}
-
-// Mul computes m · b as a new matrix.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: Mul dimension mismatch %dx%d · %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		arow := m.Row(i)
-		orow := out.Row(i)
-		for k, aik := range arow {
-			if aik == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bkj := range brow {
-				orow[j] += aik * bkj
-			}
-		}
-	}
-	return out
-}
-
-// Gram computes mᵀ·m (the Gram matrix of the columns of m).
-func (m *Matrix) Gram() *Matrix {
-	out := NewMatrix(m.Cols, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for a, va := range row {
-			if va == 0 {
-				continue
-			}
-			orow := out.Row(a)
-			for b, vb := range row {
-				orow[b] += va * vb
-			}
-		}
-	}
-	return out
-}
-
-// MaxAbs returns the largest absolute entry of m (0 for an empty matrix).
-func (m *Matrix) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
-// Eye returns the n×n identity matrix.
-func Eye(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
 }

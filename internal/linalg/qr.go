@@ -119,18 +119,6 @@ func (qr *QR) Solve(b []float64) ([]float64, error) {
 	return Clone(x), nil
 }
 
-// R returns the upper-triangular factor as a dense n×n matrix.
-func (qr *QR) R() *Matrix {
-	n := qr.fact.Cols
-	r := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			r.Set(i, j, qr.fact.At(i, j))
-		}
-	}
-	return r
-}
-
 // SolveLeastSquares solves min ‖A·x − b‖₂ by Householder QR.
 func SolveLeastSquares(a *Matrix, b []float64) ([]float64, error) {
 	qr, err := QRFactor(a)

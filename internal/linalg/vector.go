@@ -48,15 +48,6 @@ func NormInf(x []float64) float64 {
 	return m
 }
 
-// Norm1 returns the sum of absolute entries of x.
-func Norm1(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
-}
-
 // Axpy computes y ← y + alpha·x in place.
 func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {

@@ -31,14 +31,3 @@ func ReadRuntimeStats() RuntimeStats {
 		GCCycles:            ms.NumGC,
 	}
 }
-
-// JSON renders the snapshot for the /metrics JSON view.
-func (s RuntimeStats) JSON() map[string]any {
-	return map[string]any{
-		"goroutines":             s.Goroutines,
-		"heap_alloc_bytes":       s.HeapAllocBytes,
-		"heap_sys_bytes":         s.HeapSysBytes,
-		"gc_pause_total_seconds": s.GCPauseTotalSeconds,
-		"gc_cycles":              s.GCCycles,
-	}
-}

@@ -154,9 +154,6 @@ func (s *Simulator) Dim() int { return s.space.Dim() }
 // Metrics implements circuit.Simulator.
 func (s *Simulator) Metrics() []string { return []string{s.measure.String()} }
 
-// Space exposes the built variation space (for diagnostics and tests).
-func (s *Simulator) Space() *variation.Space { return s.space }
-
 // Evaluate implements circuit.Simulator: rebuild the deck with the factor
 // vector applied and extract the measure.
 func (s *Simulator) Evaluate(dy []float64) ([]float64, error) {

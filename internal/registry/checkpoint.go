@@ -131,18 +131,40 @@ func (r *Registry) PutCheckpoint(ck *Checkpoint) error {
 			return err
 		}
 	}
+	r.cacheCheckpoint(ck)
+	return nil
+}
+
+// cacheCheckpoint records ck in the in-memory cache. Caller holds r.mu. In
+// a registry with a store directory the cache keeps only the newest
+// version of each name, because refine only ever continues from the latest
+// version and each checkpoint holds its full training set; older versions
+// stay on disk and load on demand. In an in-memory registry the cache is
+// the store and keeps every version.
+func (r *Registry) cacheCheckpoint(ck *Checkpoint) {
 	if r.checkpoints == nil {
 		r.checkpoints = make(map[string]*Checkpoint)
 	}
+	if r.dir != "" {
+		for key, old := range r.checkpoints {
+			if old.Name != ck.Name {
+				continue
+			}
+			if old.ModelVersion > ck.ModelVersion {
+				return
+			}
+			delete(r.checkpoints, key)
+		}
+	}
 	r.checkpoints[checkpointKey(ck.Name, ck.ModelVersion)] = ck
-	return nil
 }
 
 // Checkpoint returns the stored refit state of name@version, if any.
 // Persistent registries load checkpoint files lazily — they can be large
 // (the full training set plus the factor), and most model versions are
 // never refined — and quarantine corrupt files into checkpoints/corrupt/
-// on first touch instead of failing forever.
+// on first touch instead of failing forever. A version older than the
+// newest cached one of its name is read from disk on every call.
 func (r *Registry) Checkpoint(name string, version int) (*Checkpoint, bool) {
 	key := checkpointKey(name, version)
 	r.mu.RLock()
@@ -171,11 +193,8 @@ func (r *Registry) Checkpoint(name string, version int) (*Checkpoint, bool) {
 		return nil, false
 	}
 	r.mu.Lock()
-	if r.checkpoints == nil {
-		r.checkpoints = make(map[string]*Checkpoint)
-	}
 	// A concurrent loader may have won the race; either copy is identical.
-	r.checkpoints[key] = loaded
+	r.cacheCheckpoint(loaded)
 	r.mu.Unlock()
 	return loaded, true
 }

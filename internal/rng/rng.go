@@ -1,15 +1,12 @@
 // Package rng provides the deterministic random sources used throughout the
-// repository: seeded standard-normal streams, multivariate normal sampling
-// from a covariance factor, and Latin hypercube designs. Every experiment is
+// repository: seeded standard-normal streams, counter-based point draws,
+// and Latin hypercube and Halton designs. Every experiment is
 // reproducible bit-for-bit from its seed.
 package rng
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-
-	"repro/internal/linalg"
 )
 
 // Source is a deterministic stream of random variates. It wraps math/rand
@@ -54,43 +51,6 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
 // parent, so repeated Splits give distinct children.
 func (s *Source) Split() *Source {
 	return New(s.r.Int63())
-}
-
-// MVNormal samples from a zero-mean multivariate normal distribution with a
-// pre-factored covariance Σ = L·Lᵀ.
-type MVNormal struct {
-	l   *linalg.Matrix // lower-triangular Cholesky factor of Σ
-	dim int
-}
-
-// NewMVNormal builds a sampler from the covariance matrix sigma.
-func NewMVNormal(sigma *linalg.Matrix) (*MVNormal, error) {
-	chol, err := linalg.CholeskyFactor(sigma)
-	if err != nil {
-		return nil, fmt.Errorf("rng: covariance is not positive definite: %w", err)
-	}
-	return &MVNormal{l: chol.L(), dim: sigma.Rows}, nil
-}
-
-// Dim returns the dimensionality of the distribution.
-func (mv *MVNormal) Dim() int { return mv.dim }
-
-// Sample draws one vector into dst (allocated when nil) using src.
-func (mv *MVNormal) Sample(src *Source, dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, mv.dim)
-	}
-	z := src.NormVec(nil, mv.dim)
-	// dst = L·z, exploiting the lower-triangular structure.
-	for i := 0; i < mv.dim; i++ {
-		row := mv.l.Row(i)
-		s := 0.0
-		for j := 0; j <= i; j++ {
-			s += row[j] * z[j]
-		}
-		dst[i] = s
-	}
-	return dst
 }
 
 // LatinHypercube returns n samples in dim dimensions, each marginal being a

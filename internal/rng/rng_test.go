@@ -5,8 +5,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/linalg"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -50,49 +48,6 @@ func TestNormVecMoments(t *testing.T) {
 	}
 	if math.Abs(m2-1) > 0.02 {
 		t.Errorf("sample variance %g too far from 1", m2)
-	}
-}
-
-func TestMVNormalCovariance(t *testing.T) {
-	sigma := linalg.NewMatrixFrom([][]float64{
-		{2.0, 0.6, 0.0},
-		{0.6, 1.0, -0.3},
-		{0.0, -0.3, 0.5},
-	})
-	mv, err := NewMVNormal(sigma)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mv.Dim() != 3 {
-		t.Fatalf("Dim = %d, want 3", mv.Dim())
-	}
-	src := New(11)
-	const n = 100000
-	cov := linalg.NewMatrix(3, 3)
-	x := make([]float64, 3)
-	for k := 0; k < n; k++ {
-		mv.Sample(src, x)
-		for i := 0; i < 3; i++ {
-			for j := 0; j < 3; j++ {
-				cov.Set(i, j, cov.At(i, j)+x[i]*x[j])
-			}
-		}
-	}
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			got := cov.At(i, j) / n
-			want := sigma.At(i, j)
-			if math.Abs(got-want) > 0.05 {
-				t.Errorf("cov(%d,%d) = %g, want %g", i, j, got, want)
-			}
-		}
-	}
-}
-
-func TestMVNormalRejectsIndefinite(t *testing.T) {
-	sigma := linalg.NewMatrixFrom([][]float64{{1, 2}, {2, 1}})
-	if _, err := NewMVNormal(sigma); err == nil {
-		t.Fatal("expected error for indefinite covariance")
 	}
 }
 

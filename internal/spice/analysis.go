@@ -176,19 +176,6 @@ type TranResult struct {
 	states [][]float64
 }
 
-// Voltage returns the waveform of one node.
-func (tr *TranResult) Voltage(n NodeID) []float64 {
-	out := make([]float64, len(tr.Times))
-	for i, st := range tr.states {
-		if n == Ground {
-			out[i] = 0
-		} else {
-			out[i] = st[n]
-		}
-	}
-	return out
-}
-
 // At returns the voltage of node n at time index i.
 func (tr *TranResult) At(n NodeID, i int) float64 {
 	if n == Ground {

@@ -17,9 +17,7 @@
 // internal/variation, and each SpiceOpAmp sample is a DC + AC run.
 package spice
 
-import (
-	"fmt"
-)
+import ()
 
 // NodeID identifies a circuit node. Ground is the constant Ground (-1) and
 // carries no equation.
@@ -190,7 +188,6 @@ func (ctx *stampCtx) addB(i NodeID, v float64) {
 // device is anything that can stamp itself into the MNA system.
 type device interface {
 	stamp(ctx *stampCtx)
-	name() string
 }
 
 // sysMatrix is a dense square matrix with an add-accumulate primitive.
@@ -211,11 +208,6 @@ func (m *sysMatrix) reset() {
 	for i := range m.data {
 		m.data[i] = 0
 	}
-}
-
-// errNoConverge reports a failed Newton solve with context.
-func errNoConverge(kind string, iter int, worst float64) error {
-	return fmt.Errorf("spice: %s analysis did not converge after %d iterations (worst update %.3g V)", kind, iter, worst)
 }
 
 // PWL is a piecewise-linear waveform defined by (time, value) breakpoints in

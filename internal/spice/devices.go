@@ -12,8 +12,6 @@ type resistor struct {
 	g    float64 // conductance
 }
 
-func (r *resistor) name() string { return r.id }
-
 func (r *resistor) stamp(ctx *stampCtx) {
 	ctx.addA(r.a, r.a, r.g)
 	ctx.addA(r.b, r.b, r.g)
@@ -38,8 +36,6 @@ type capacitor struct {
 	c     float64
 	iPrev float64
 }
-
-func (cp *capacitor) name() string { return cp.id }
 
 func (cp *capacitor) stamp(ctx *stampCtx) {
 	if ctx.dt == 0 {
@@ -80,8 +76,6 @@ type currentSource struct {
 	acMag float64 // AC stimulus magnitude (0 = open in AC)
 }
 
-func (cs *currentSource) name() string { return cs.id }
-
 func (cs *currentSource) stamp(ctx *stampCtx) {
 	i := cs.wave.At(ctx.t)
 	ctx.addB(cs.a, -i)
@@ -103,8 +97,6 @@ type voltageSource struct {
 	acMag float64 // AC stimulus magnitude (0 = short in AC)
 	ord   int     // ordinal among voltage sources
 }
-
-func (vs *voltageSource) name() string { return vs.id }
 
 func (vs *voltageSource) stamp(ctx *stampCtx) {
 	bi := NodeID(ctx.nNodes + vs.ord)
@@ -131,8 +123,6 @@ type vccs struct {
 	gm           float64
 }
 
-func (v *vccs) name() string { return v.id }
-
 func (v *vccs) stamp(ctx *stampCtx) {
 	ctx.addA(v.outP, v.ctrlP, v.gm)
 	ctx.addA(v.outP, v.ctrlM, -v.gm)
@@ -154,8 +144,6 @@ type diode struct {
 	is   float64
 	vt   float64
 }
-
-func (d *diode) name() string { return d.id }
 
 func (d *diode) stamp(ctx *stampCtx) {
 	vd := ctx.v(d.a) - ctx.v(d.b)
@@ -215,8 +203,6 @@ type mosfet struct {
 	d, g, s NodeID
 	p       MOSParams
 }
-
-func (m *mosfet) name() string { return m.id }
 
 // ids computes the drain current and its partial derivatives for an NMOS
 // with vgs, vds ≥ 0 conventions already applied.

@@ -14,8 +14,6 @@ type inductor struct {
 	ord  int // branch ordinal
 }
 
-func (l *inductor) name() string { return l.id }
-
 func (l *inductor) stamp(ctx *stampCtx) {
 	bi := NodeID(ctx.nNodes + l.ord)
 	// KCL: branch current leaves a, enters b.

@@ -362,23 +362,14 @@ func TestTranResultVoltageWaveform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := tr.Voltage(n)
-	if len(w) != len(tr.Times) {
-		t.Fatalf("waveform length %d, want %d", len(w), len(tr.Times))
-	}
-	for i := range w {
-		if w[i] != tr.At(n, i) {
-			t.Fatal("Voltage disagrees with At")
+	// 1 mA into 1 kΩ holds the node at 1 V at every time point.
+	for i := range tr.Times {
+		if v := tr.At(n, i); math.Abs(v-1) > 1e-9 {
+			t.Fatalf("v(n) at step %d = %g, want 1", i, v)
 		}
-	}
-	g := tr.Voltage(Ground)
-	for _, v := range g {
-		if v != 0 {
+		if tr.At(Ground, i) != 0 {
 			t.Fatal("ground waveform must be 0")
 		}
-	}
-	if tr.At(Ground, 0) != 0 {
-		t.Error("ground At must be 0")
 	}
 }
 

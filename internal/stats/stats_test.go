@@ -66,21 +66,6 @@ func TestQuantilePanics(t *testing.T) {
 	}
 }
 
-func TestCorrelation(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	y := []float64{2, 4, 6, 8}
-	if got := Correlation(x, y); math.Abs(got-1) > 1e-12 {
-		t.Errorf("Correlation = %g, want 1", got)
-	}
-	neg := []float64{8, 6, 4, 2}
-	if got := Correlation(x, neg); math.Abs(got+1) > 1e-12 {
-		t.Errorf("Correlation = %g, want -1", got)
-	}
-	if got := Correlation(x, []float64{5, 5, 5, 5}); got != 0 {
-		t.Errorf("Correlation with constant = %g, want 0", got)
-	}
-}
-
 func TestRelativeRMSError(t *testing.T) {
 	truth := []float64{1, 2, 2}
 	if got := RelativeRMSError(truth, truth); got != 0 {
@@ -123,47 +108,5 @@ func TestRelativeRMSErrorScaleInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestBootstrapCICoversTruth(t *testing.T) {
-	// Known setup: truth N(2, 0.5), predictions = truth + N(0, 0.1·2).
-	// The relative RMS error is ≈ 0.1; the 95% CI must straddle it.
-	rng := rand.New(rand.NewSource(55))
-	const n = 400
-	pred := make([]float64, n)
-	truth := make([]float64, n)
-	for i := range truth {
-		truth[i] = 2 + 0.5*rng.NormFloat64()
-		pred[i] = truth[i] + 0.2*rng.NormFloat64()
-	}
-	point := RelativeRMSError(pred, truth)
-	lo, hi := BootstrapCI(pred, truth, RelativeRMSError, 0.95, 500, 1)
-	if !(lo < point && point < hi) {
-		t.Errorf("CI [%g, %g] does not contain the point estimate %g", lo, hi, point)
-	}
-	if hi-lo <= 0 || hi-lo > point {
-		t.Errorf("CI width %g implausible for point %g", hi-lo, point)
-	}
-	// Deterministic in the seed.
-	lo2, hi2 := BootstrapCI(pred, truth, RelativeRMSError, 0.95, 500, 1)
-	if lo != lo2 || hi != hi2 {
-		t.Error("BootstrapCI not deterministic for equal seeds")
-	}
-}
-
-func TestBootstrapCIPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"empty":     func() { BootstrapCI(nil, nil, RelativeRMSError, 0.95, 100, 1) },
-		"bad level": func() { BootstrapCI([]float64{1}, []float64{1}, RelativeRMSError, 1.5, 100, 1) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		})
 	}
 }

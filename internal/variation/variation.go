@@ -12,9 +12,7 @@
 //
 // The composition is expressed directly as a linear map from independent
 // standard-normal factors ΔY onto device parameter deltas ΔX — the exact
-// output format of the PCA preprocessing in the paper's Section II. For
-// moderate dimensions the equivalent covariance matrix can be materialized
-// and diagonalized with internal/stats.PCA to verify the equivalence.
+// output format of the PCA preprocessing in the paper's Section II.
 package variation
 
 import (
@@ -255,9 +253,6 @@ func (s *Space) Dim() int { return s.dim }
 // FactorName documents factor f.
 func (s *Space) FactorName(f int) string { return s.names[f] }
 
-// NumDevices returns the device count.
-func (s *Space) NumDevices() int { return len(s.spec.Devices) }
-
 // Delta evaluates the parameter deviation of kind k for device d given the
 // factor vector dy (length Dim).
 func (s *Space) Delta(d int, k ParamKind, dy []float64) float64 {
@@ -269,79 +264,4 @@ func (s *Space) Delta(d int, k ParamKind, dy []float64) float64 {
 		v += r.weight * dy[r.factor]
 	}
 	return v
-}
-
-// Sigma returns the total standard deviation of parameter k of device d
-// (the Euclidean norm of its factor weights).
-func (s *Space) Sigma(d int, k ParamKind) float64 {
-	v := 0.0
-	for _, r := range s.contrib[d][k] {
-		v += r.weight * r.weight
-	}
-	return math.Sqrt(v)
-}
-
-// FactorsOf lists the factor indices feeding parameter k of device d — the
-// ground-truth sparsity structure the regression solvers are expected to
-// discover.
-func (s *Space) FactorsOf(d int, k ParamKind) []int {
-	refs := s.contrib[d][k]
-	out := make([]int, len(refs))
-	for i, r := range refs {
-		out[i] = r.factor
-	}
-	return out
-}
-
-// ParamRef names one (device, kind) entry of the parameter vector ΔX.
-type ParamRef struct {
-	Device int
-	Kind   ParamKind
-}
-
-// Params enumerates every varying (device, kind) pair in deterministic
-// order — the coordinate system of the implied covariance matrix.
-func (s *Space) Params() []ParamRef {
-	var out []ParamRef
-	for d := range s.contrib {
-		for k := ParamKind(0); k < numKinds; k++ {
-			if len(s.contrib[d][k]) > 0 {
-				out = append(out, ParamRef{Device: d, Kind: k})
-			}
-		}
-	}
-	return out
-}
-
-// ImpliedCovariance materializes the covariance matrix of the correlated
-// parameter deltas ΔX the factor model implies: Σ = W·Wᵀ with W the sparse
-// factor-weight matrix. This is the matrix the paper's flow would hand to
-// PCA; diagonalizing it with stats.NewPCA recovers an equivalent independent
-// factor model (verified in tests), which demonstrates that composing the
-// factors directly — as this package does — is the same modeling step.
-// The matrix is P×P over Params(); keep P moderate before calling.
-func (s *Space) ImpliedCovariance() ([]ParamRef, [][]float64) {
-	params := s.Params()
-	p := len(params)
-	cov := make([][]float64, p)
-	for i := range cov {
-		cov[i] = make([]float64, p)
-	}
-	for i := 0; i < p; i++ {
-		ri := s.contrib[params[i].Device][params[i].Kind]
-		for j := i; j < p; j++ {
-			rj := s.contrib[params[j].Device][params[j].Kind]
-			v := 0.0
-			for _, a := range ri {
-				for _, b := range rj {
-					if a.factor == b.factor {
-						v += a.weight * b.weight
-					}
-				}
-			}
-			cov[i][j] = v
-			cov[j][i] = v
-		}
-	}
-	return params, cov
 }

@@ -5,10 +5,61 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/linalg"
 	"repro/internal/rng"
-	"repro/internal/stats"
 )
+
+// sigmaOf returns the total standard deviation of parameter k of device d
+// (the Euclidean norm of its factor weights).
+func sigmaOf(s *Space, d int, k ParamKind) float64 {
+	v := 0.0
+	for _, r := range s.contrib[d][k] {
+		v += r.weight * r.weight
+	}
+	return math.Sqrt(v)
+}
+
+// factorsOf lists the factor indices feeding parameter k of device d.
+func factorsOf(s *Space, d int, k ParamKind) []int {
+	var out []int
+	for _, r := range s.contrib[d][k] {
+		out = append(out, r.factor)
+	}
+	return out
+}
+
+// paramRef names one (device, kind) entry of the parameter vector ΔX.
+type paramRef struct {
+	Device int
+	Kind   ParamKind
+}
+
+// impliedCovariance materializes the covariance Σ = W·Wᵀ of the parameter
+// deltas ΔX that the factor model implies, over every varying (device,
+// kind) pair in order.
+func impliedCovariance(s *Space) ([]paramRef, [][]float64) {
+	var params []paramRef
+	for d := range s.contrib {
+		for k := ParamKind(0); k < numKinds; k++ {
+			if len(s.contrib[d][k]) > 0 {
+				params = append(params, paramRef{Device: d, Kind: k})
+			}
+		}
+	}
+	cov := make([][]float64, len(params))
+	for i, pi := range params {
+		cov[i] = make([]float64, len(params))
+		for j, pj := range params {
+			for _, a := range s.contrib[pi.Device][pi.Kind] {
+				for _, b := range s.contrib[pj.Device][pj.Kind] {
+					if a.factor == b.factor {
+						cov[i][j] += a.weight * b.weight
+					}
+				}
+			}
+		}
+	}
+	return params, cov
+}
 
 func twoDeviceSpec() Spec {
 	return Spec{
@@ -47,10 +98,10 @@ func TestPelgromScaling(t *testing.T) {
 	loc2 := 0.005 / math.Sqrt(4*0.06)
 	want1 := math.Sqrt(sg*sg + loc1*loc1)
 	want2 := math.Sqrt(sg*sg + loc2*loc2)
-	if got := s.Sigma(0, VTH); math.Abs(got-want1) > 1e-12 {
+	if got := sigmaOf(s, 0, VTH); math.Abs(got-want1) > 1e-12 {
 		t.Errorf("σ(M1,VTH) = %g, want %g", got, want1)
 	}
-	if got := s.Sigma(1, VTH); math.Abs(got-want2) > 1e-12 {
+	if got := sigmaOf(s, 1, VTH); math.Abs(got-want2) > 1e-12 {
 		t.Errorf("σ(M2,VTH) = %g, want %g", got, want2)
 	}
 	if loc2 >= loc1 {
@@ -81,8 +132,8 @@ func TestLocalFactorsIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1 := s.FactorsOf(0, VTH)
-	f2 := s.FactorsOf(1, VTH)
+	f1 := factorsOf(s, 0, VTH)
+	f2 := factorsOf(s, 1, VTH)
 	// They share exactly the global factor.
 	shared := 0
 	for _, a := range f1 {
@@ -114,7 +165,7 @@ func TestEmpiricalSigma(t *testing.T) {
 	}
 	mean := sum / n
 	sd := math.Sqrt(sq/n - mean*mean)
-	want := s.Sigma(0, VTH)
+	want := sigmaOf(s, 0, VTH)
 	if math.Abs(mean) > 5e-4 {
 		t.Errorf("empirical mean %g, want 0", mean)
 	}
@@ -217,7 +268,7 @@ func TestImpliedCovarianceMatchesMonteCarlo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params, cov := s.ImpliedCovariance()
+	params, cov := impliedCovariance(s)
 	if len(params) != 3 { // M1/VTH, M1/Beta, M2/VTH
 		t.Fatalf("got %d params, want 3", len(params))
 	}
@@ -247,47 +298,6 @@ func TestImpliedCovarianceMatchesMonteCarlo(t *testing.T) {
 			scale := math.Sqrt(cov[i][i]*cov[j][j]) + 1e-12
 			if math.Abs(got-want) > 0.03*scale {
 				t.Errorf("cov(%d,%d) = %g, implied %g", i, j, got, want)
-			}
-		}
-	}
-}
-
-func TestImpliedCovariancePCAEquivalence(t *testing.T) {
-	// Diagonalizing the implied covariance with PCA must reproduce the same
-	// joint distribution: the PCA factor model's covariance equals Σ.
-	s, err := Build(twoDeviceSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	params, cov := s.ImpliedCovariance()
-	p := len(params)
-	sigma := linalg.NewMatrix(p, p)
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			sigma.Set(i, j, cov[i][j])
-		}
-	}
-	pca, err := stats.NewPCA(sigma, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reconstruct Σ from the PCA factors: V·Λ·Vᵀ restricted to the kept
-	// components (ToParams of unit factor vectors).
-	rec := linalg.NewMatrix(p, p)
-	for f := 0; f < pca.Components(); f++ {
-		e := make([]float64, pca.Components())
-		e[f] = 1
-		col := pca.ToParams(nil, e)
-		for i := 0; i < p; i++ {
-			for j := 0; j < p; j++ {
-				rec.Set(i, j, rec.At(i, j)+col[i]*col[j])
-			}
-		}
-	}
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			if math.Abs(rec.At(i, j)-cov[i][j]) > 1e-10*(1+math.Abs(cov[i][j])) {
-				t.Errorf("PCA reconstruction (%d,%d) = %g, want %g", i, j, rec.At(i, j), cov[i][j])
 			}
 		}
 	}
